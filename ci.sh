@@ -14,6 +14,13 @@ else
     cargo build --workspace --all-targets --release
 fi
 
+# The repository benchmark (perfbench/) is a package of its own, outside the
+# workspace, so the workspace build never compiles it: build and test it
+# here so an API change in crates/* that breaks the benchmark fails CI.
+echo "==> perfbench build + tests"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml --quiet
+
 # The parallel engine must behave identically at any thread count: run the
 # suite once pinned to a single worker and once with a multi-thread pool.
 echo "==> cargo test (AGING_THREADS=1)"

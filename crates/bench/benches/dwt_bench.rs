@@ -1,7 +1,7 @@
 //! Wavelet transform throughput benchmarks.
 
 use aging_fractal::generate;
-use aging_wavelet::{dwt, modwt, Wavelet, WaveletLeaders};
+use aging_wavelet::{dwt, Wavelet, WaveletLeaders};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn bench_transforms(c: &mut Criterion) {
@@ -11,9 +11,6 @@ fn bench_transforms(c: &mut Criterion) {
     for w in [Wavelet::Haar, Wavelet::Daubechies4, Wavelet::Daubechies12] {
         group.bench_with_input(BenchmarkId::new("dwt6", w.to_string()), &w, |b, &w| {
             b.iter(|| dwt(std::hint::black_box(&signal), w, 6).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("modwt4", w.to_string()), &w, |b, &w| {
-            b.iter(|| modwt(std::hint::black_box(&signal), w, 4).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("leaders6", w.to_string()), &w, |b, &w| {
             b.iter(|| WaveletLeaders::compute(std::hint::black_box(&signal), w, 6).unwrap())

@@ -872,10 +872,10 @@ pub fn e11(quick: bool, out: Option<&Path>) -> Result<()> {
 
     banner(
         "E11",
-        "online streaming detector: parity with the batch detector + throughput",
-        "the bounded-memory streaming detector fires the identical alerts at the identical \
-         sample times as the offline batch run, at >10x the throughput of re-running the \
-         batch detector per sample",
+        "online streaming detector: parity with the offline analysis + throughput",
+        "one streaming pass through the gate fires the identical alerts at the identical \
+         sample times as the offline analysis (the same detector with its trace recorder \
+         on), at >10x the throughput of re-running that recording detector per prefix",
     );
     let horizon = if quick {
         48.0 * HOUR
@@ -893,7 +893,7 @@ pub fn e11(quick: bool, out: Option<&Path>) -> Result<()> {
         opt_fmt(report.first_crash().map(|c| c.time.as_secs()), hours),
     );
 
-    // Batch (offline) run.
+    // Batch (offline) run: the shared detector with its trace recorder on.
     let config = DetectorConfig::default();
     let batch = analyze(values, &config)?;
 
@@ -952,8 +952,9 @@ pub fn e11(quick: bool, out: Option<&Path>) -> Result<()> {
         ]);
     }
 
-    // Amortized throughput: streaming vs re-running the batch detector
-    // from scratch on every arriving sample (the stateless alternative).
+    // Amortized throughput: one streaming pass vs re-running the recording
+    // detector from scratch on every arriving prefix (the stateless
+    // alternative).
     let m = values.len().min(1500);
     let prefix = &values[..m];
     let t0 = std::time::Instant::now();
@@ -964,7 +965,7 @@ pub fn e11(quick: bool, out: Option<&Path>) -> Result<()> {
     let stream_us = t0.elapsed().as_secs_f64() * 1e6 / m as f64;
     let t0 = std::time::Instant::now();
     for i in 1..=m {
-        let mut det = aging_core::detector::HolderDimensionDetector::new(config.clone())?;
+        let mut det = aging_core::detector::HolderDimensionDetector::recording(config.clone())?;
         for &v in &prefix[..i] {
             let _ = det.push(v)?;
         }

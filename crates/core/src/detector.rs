@@ -22,14 +22,22 @@
 //! `skip_windows` windows are discarded so boot-time warmup does not
 //! contaminate the baseline.
 //!
-//! The detector is streaming: feed one counter sample at a time with
-//! [`HolderDimensionDetector::push`]. Because the Hölder estimator is
+//! The detector is streaming and bounded-memory: feed one counter sample
+//! at a time with [`HolderDimensionDetector::push`]; offline callers turn
+//! on the trace recorder ([`HolderDimensionDetector::recording`],
+//! [`analyze`]) to keep the full traces. Because the Hölder estimator is
 //! centred, the emitted traces trail the newest sample by the estimator's
 //! neighbourhood radius — alarms are attributed to the *push* (wall-clock)
 //! instant, so evaluation lead times are honest.
+//!
+//! The warmup → baseline → confirm → latch sequence lives in one place,
+//! [`DecisionCore`]; the Hölder detector here and the spectrum-width
+//! detector in `aging-stream` supply only their features, band clamps,
+//! anomaly rule and alert payload.
 
-use aging_fractal::holder::{self, HolderEstimator, IncrementConfig};
-use aging_fractal::streaming::WindowDimension;
+use aging_fractal::holder::{HolderEstimator, IncrementConfig};
+use aging_fractal::streaming::{StreamingDimension, StreamingHolder, WindowDimension};
+use aging_timeseries::persist::{self, Reader};
 use aging_timeseries::{stats, Error, Result};
 
 /// Which graph-dimension estimator the detector applies to the Hölder
@@ -45,16 +53,6 @@ pub enum DimensionMethod {
 }
 
 impl DimensionMethod {
-    /// Applies the method to one window of the Hölder trace.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying estimator's failures (constant windows
-    /// are mapped to dimension 1).
-    pub fn estimate(&self, window: &[f64]) -> Result<f64> {
-        self.window_dimension().estimate(window)
-    }
-
     /// The equivalent streaming-kernel estimator
     /// ([`aging_fractal::streaming::WindowDimension`]).
     pub fn window_dimension(&self) -> WindowDimension {
@@ -195,6 +193,12 @@ impl DetectorConfig {
         }
         if self.dimension_stride == 0 {
             return Err(Error::invalid("dimension_stride", "must be positive"));
+        }
+        if self.dimension_stride > self.dimension_window {
+            return Err(Error::invalid(
+                "dimension_stride",
+                "must not exceed dimension_window",
+            ));
         }
         if self.baseline_windows < 2 {
             return Err(Error::invalid("baseline_windows", "must be at least 2"));
@@ -368,6 +372,29 @@ pub enum AlertLevel {
     Alarm,
 }
 
+impl AlertLevel {
+    /// Stable byte code used by every persisted and journaled alert.
+    pub fn code(self) -> u8 {
+        match self {
+            AlertLevel::Warning => 0,
+            AlertLevel::Alarm => 1,
+        }
+    }
+
+    /// Inverse of [`AlertLevel::code`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParameter`] for an unknown code.
+    pub fn from_code(code: u8) -> Result<Self> {
+        match code {
+            0 => Ok(AlertLevel::Warning),
+            1 => Ok(AlertLevel::Alarm),
+            c => Err(Error::invalid("persist", format!("bad alert level {c}"))),
+        }
+    }
+}
+
 impl std::fmt::Display for AlertLevel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -386,6 +413,31 @@ pub enum Trigger {
     HolderCollapse,
     /// Both at once.
     Both,
+}
+
+impl Trigger {
+    /// Stable byte code used by every persisted and journaled alert.
+    pub fn code(self) -> u8 {
+        match self {
+            Trigger::DimensionJump => 0,
+            Trigger::HolderCollapse => 1,
+            Trigger::Both => 2,
+        }
+    }
+
+    /// Inverse of [`Trigger::code`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParameter`] for an unknown code.
+    pub fn from_code(code: u8) -> Result<Self> {
+        match code {
+            0 => Ok(Trigger::DimensionJump),
+            1 => Ok(Trigger::HolderCollapse),
+            2 => Ok(Trigger::Both),
+            c => Err(Error::invalid("persist", format!("bad trigger {c}"))),
+        }
+    }
 }
 
 /// An alert emitted by the detector.
@@ -407,6 +459,36 @@ pub struct Alert {
     pub holder_baseline: f64,
 }
 
+impl Alert {
+    /// Appends the alert's persisted form via [`aging_timeseries::persist`].
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        persist::put_usize(out, self.sample_index);
+        persist::put_u8(out, self.level.code());
+        persist::put_u8(out, self.trigger.code());
+        persist::put_f64(out, self.dimension);
+        persist::put_f64(out, self.mean_holder);
+        persist::put_f64(out, self.dimension_baseline);
+        persist::put_f64(out, self.holder_baseline);
+    }
+
+    /// Reads an alert written by [`Alert::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParameter`] on truncation or corrupt codes.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(Alert {
+            sample_index: r.usize_()?,
+            level: AlertLevel::from_code(r.u8()?)?,
+            trigger: Trigger::from_code(r.u8()?)?,
+            dimension: r.f64()?,
+            mean_holder: r.f64()?,
+            dimension_baseline: r.f64()?,
+            holder_baseline: r.f64()?,
+        })
+    }
+}
+
 /// Baseline levels established after warmup.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Baseline {
@@ -422,7 +504,254 @@ pub struct Baseline {
     pub holder_delta: f64,
 }
 
-/// Streaming Hölder-dimension detector.
+/// The frozen baseline of one feature: the median over the baseline
+/// windows and the clamped `mad_multiplier · MAD` band around it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FeatureBand {
+    /// Median of the feature over the baseline windows.
+    pub median: f64,
+    /// Band width: `mad_multiplier · MAD`, clamped to the family's range.
+    pub delta: f64,
+}
+
+/// The decision state machine every windowed detector family runs on its
+/// per-window features: skip the first `skip_windows` windows (boot
+/// warmup), freeze each feature's median/MAD band over the next
+/// `baseline_windows`, then judge every later window with the family's
+/// anomaly rule — a Warning on the first anomalous window, a latched Alarm
+/// once `confirm_windows` consecutive windows are anomalous.
+///
+/// `N` is the number of features per window and `A` the family's alert
+/// payload. The core also keeps the emission counters and the last alert,
+/// and owns their persisted layout.
+#[derive(Debug, Clone)]
+pub struct DecisionCore<const N: usize, A> {
+    skip_windows: usize,
+    baseline_windows: usize,
+    confirm_windows: usize,
+    mad_multiplier: f64,
+    clamps: [(f64, f64); N],
+    windows_seen: usize,
+    formation: [Vec<f64>; N],
+    baseline: Option<[FeatureBand; N]>,
+    consecutive_anomalies: usize,
+    alarmed: bool,
+    warnings_emitted: u64,
+    alarms_emitted: u64,
+    last_alert: Option<A>,
+}
+
+impl<const N: usize, A: Copy> DecisionCore<N, A> {
+    /// Creates the core. `clamps[i]` bounds feature `i`'s band
+    /// `mad_multiplier · MAD` to `[min, max]`.
+    pub fn new(
+        skip_windows: usize,
+        baseline_windows: usize,
+        confirm_windows: usize,
+        mad_multiplier: f64,
+        clamps: [(f64, f64); N],
+    ) -> Self {
+        DecisionCore {
+            skip_windows,
+            baseline_windows,
+            confirm_windows,
+            mad_multiplier,
+            clamps,
+            windows_seen: 0,
+            formation: std::array::from_fn(|_| Vec::new()),
+            baseline: None,
+            consecutive_anomalies: 0,
+            alarmed: false,
+            warnings_emitted: 0,
+            alarms_emitted: 0,
+            last_alert: None,
+        }
+    }
+
+    /// Feeds one window's features. Once the baseline is frozen, `rule`
+    /// judges the window against it (`Some` = anomalous, carrying what the
+    /// alert needs) and `alert` builds the payload for an emitted level.
+    ///
+    /// # Errors
+    ///
+    /// Propagates baseline statistics failures.
+    pub fn step<R>(
+        &mut self,
+        features: [f64; N],
+        rule: impl FnOnce(&[FeatureBand; N]) -> Option<R>,
+        alert: impl FnOnce(AlertLevel, R, &[FeatureBand; N]) -> A,
+    ) -> Result<Option<A>> {
+        self.windows_seen += 1;
+        if self.windows_seen <= self.skip_windows {
+            return Ok(None);
+        }
+        let Some(baseline) = self.baseline else {
+            for (column, x) in self.formation.iter_mut().zip(features) {
+                column.push(x);
+            }
+            if self.formation[0].len() >= self.baseline_windows {
+                let mut bands = [FeatureBand {
+                    median: 0.0,
+                    delta: 0.0,
+                }; N];
+                for ((band, column), (lo, hi)) in
+                    bands.iter_mut().zip(&self.formation).zip(self.clamps)
+                {
+                    band.median = stats::median(column)?;
+                    band.delta = (self.mad_multiplier * stats::mad(column)?).clamp(lo, hi);
+                }
+                self.baseline = Some(bands);
+                // The formation columns are dead state once the baseline
+                // freezes; drop them so long-lived detectors stay lean.
+                self.formation = std::array::from_fn(|_| Vec::new());
+            }
+            return Ok(None);
+        };
+        let Some(verdict) = rule(&baseline) else {
+            self.consecutive_anomalies = 0;
+            return Ok(None);
+        };
+        self.consecutive_anomalies += 1;
+        if self.alarmed {
+            return Ok(None);
+        }
+        let level = if self.consecutive_anomalies >= self.confirm_windows {
+            self.alarmed = true;
+            self.alarms_emitted += 1;
+            AlertLevel::Alarm
+        } else if self.consecutive_anomalies == 1 {
+            self.warnings_emitted += 1;
+            AlertLevel::Warning
+        } else {
+            return Ok(None);
+        };
+        let emitted = alert(level, verdict, &baseline);
+        self.last_alert = Some(emitted);
+        Ok(Some(emitted))
+    }
+
+    /// Whether the confirmed alarm has fired.
+    pub fn is_alarmed(&self) -> bool {
+        self.alarmed
+    }
+
+    /// The frozen per-feature baseline, once formed.
+    pub fn baseline(&self) -> Option<[FeatureBand; N]> {
+        self.baseline
+    }
+
+    /// The most recent alert, if any.
+    pub fn last_alert(&self) -> Option<A> {
+        self.last_alert
+    }
+
+    /// Clears all decision state; the emission counters are lifetime
+    /// totals and survive.
+    pub fn reset(&mut self) {
+        self.windows_seen = 0;
+        for column in &mut self.formation {
+            column.clear();
+        }
+        self.baseline = None;
+        self.consecutive_anomalies = 0;
+        self.alarmed = false;
+        self.last_alert = None;
+    }
+
+    /// Serializes the decision state via [`aging_timeseries::persist`];
+    /// `put_alert` writes the family's alert payload.
+    pub fn encode_state(&self, out: &mut Vec<u8>, put_alert: impl FnOnce(&A, &mut Vec<u8>)) {
+        persist::put_usize(out, self.windows_seen);
+        for column in &self.formation {
+            persist::put_usize(out, column.len());
+            for &x in column {
+                persist::put_f64(out, x);
+            }
+        }
+        persist::put_bool(out, self.baseline.is_some());
+        for band in self.baseline.iter().flatten() {
+            persist::put_f64(out, band.median);
+            persist::put_f64(out, band.delta);
+        }
+        persist::put_usize(out, self.consecutive_anomalies);
+        persist::put_bool(out, self.alarmed);
+        persist::put_u64(out, self.warnings_emitted);
+        persist::put_u64(out, self.alarms_emitted);
+        persist::put_bool(out, self.last_alert.is_some());
+        if let Some(a) = &self.last_alert {
+            put_alert(a, out);
+        }
+    }
+
+    /// Restores state written by [`DecisionCore::encode_state`] into a
+    /// core constructed with the same parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParameter`] on truncation, an oversized
+    /// formation column or a corrupt alert.
+    pub fn restore_state(
+        &mut self,
+        r: &mut Reader<'_>,
+        read_alert: impl FnOnce(&mut Reader<'_>) -> Result<A>,
+    ) -> Result<()> {
+        self.windows_seen = r.usize_()?;
+        for column in &mut self.formation {
+            let n = r.usize_()?;
+            if n > self.baseline_windows {
+                return Err(Error::invalid(
+                    "persist",
+                    format!("vector length {n} exceeds bound {}", self.baseline_windows),
+                ));
+            }
+            *column = (0..n).map(|_| r.f64()).collect::<Result<_>>()?;
+        }
+        self.baseline = if r.bool()? {
+            let mut bands = [FeatureBand {
+                median: 0.0,
+                delta: 0.0,
+            }; N];
+            for band in &mut bands {
+                band.median = r.f64()?;
+                band.delta = r.f64()?;
+            }
+            Some(bands)
+        } else {
+            None
+        };
+        self.consecutive_anomalies = r.usize_()?;
+        self.alarmed = r.bool()?;
+        self.warnings_emitted = r.u64()?;
+        self.alarms_emitted = r.u64()?;
+        self.last_alert = if r.bool()? {
+            Some(read_alert(r)?)
+        } else {
+            None
+        };
+        Ok(())
+    }
+}
+
+/// Everything a recording detector emitted — the offline traces behind
+/// [`analyze`], the examples and the evaluation experiments.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DetectorTrace {
+    /// The Hölder trace (index `i` corresponds to raw sample
+    /// `i + holder_radius`).
+    pub holder_trace: Vec<f64>,
+    /// `(raw-sample index, dimension)` pairs.
+    pub dimension_trace: Vec<(usize, f64)>,
+    /// `(raw-sample index, windowed mean Hölder)` pairs.
+    pub mean_holder_trace: Vec<(usize, f64)>,
+    /// All alerts, in order.
+    pub alerts: Vec<Alert>,
+}
+
+/// The Hölder-dimension detector: ring-buffered Hölder and dimension
+/// kernels ([`StreamingHolder`], [`StreamingDimension`]) feeding the
+/// shared [`DecisionCore`]. Memory is O(window) regardless of stream
+/// length; a detector built with [`HolderDimensionDetector::recording`]
+/// additionally keeps the full [`DetectorTrace`] for offline analysis.
 ///
 /// # Examples
 ///
@@ -430,58 +759,72 @@ pub struct Baseline {
 /// use aging_core::detector::{DetectorConfig, HolderDimensionDetector, AlertLevel};
 ///
 /// # fn main() -> Result<(), aging_timeseries::Error> {
-/// let mut det = HolderDimensionDetector::new(DetectorConfig::default())?;
+/// let mut det = HolderDimensionDetector::recording(DetectorConfig::default())?;
 /// for i in 0..800 {
 ///     let value = (i as f64 * 0.37).sin() * 10.0 + 100.0;
 ///     det.push(value)?;
 /// }
 /// // A clean periodic signal never alarms.
-/// assert!(det.alerts().iter().all(|a| a.level != AlertLevel::Alarm));
+/// let trace = det.trace().expect("recording detector");
+/// assert!(trace.alerts.iter().all(|a| a.level != AlertLevel::Alarm));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct HolderDimensionDetector {
     config: DetectorConfig,
-    samples: Vec<f64>,
-    samples_dropped: usize,
-    holder_trace: Vec<f64>,
-    holder_dropped: usize,
-    dimension_trace: Vec<(usize, f64)>,
-    mean_holder_trace: Vec<(usize, f64)>,
-    windows_seen: usize,
-    baseline_dim: Vec<f64>,
-    baseline_h: Vec<f64>,
-    baseline: Option<Baseline>,
-    consecutive_anomalies: usize,
-    alerts: Vec<Alert>,
-    alarmed: bool,
+    holder: StreamingHolder,
+    dimension: StreamingDimension,
+    samples_seen: u64,
+    core: DecisionCore<2, Alert>,
+    trace: Option<Box<DetectorTrace>>,
 }
 
 impl HolderDimensionDetector {
-    /// Creates a detector.
+    /// Creates a bounded-memory detector that records no trace.
     ///
     /// # Errors
     ///
     /// Propagates [`DetectorConfig::validate`] failures.
     pub fn new(config: DetectorConfig) -> Result<Self> {
         config.validate()?;
+        let holder =
+            StreamingHolder::new(config.holder_radius, config.holder_max_lag, config.max_h)?;
+        let dimension = StreamingDimension::new(
+            config.dimension_method.window_dimension(),
+            config.dimension_window,
+            config.dimension_stride,
+        )?;
+        let core = DecisionCore::new(
+            config.skip_windows,
+            config.baseline_windows,
+            config.confirm_windows,
+            config.mad_multiplier,
+            [
+                (config.jump_delta, 3.0 * config.jump_delta),
+                (config.holder_drop, 2.0 * config.holder_drop),
+            ],
+        );
         Ok(HolderDimensionDetector {
             config,
-            samples: Vec::new(),
-            samples_dropped: 0,
-            holder_trace: Vec::new(),
-            holder_dropped: 0,
-            dimension_trace: Vec::new(),
-            mean_holder_trace: Vec::new(),
-            windows_seen: 0,
-            baseline_dim: Vec::new(),
-            baseline_h: Vec::new(),
-            baseline: None,
-            consecutive_anomalies: 0,
-            alerts: Vec::new(),
-            alarmed: false,
+            holder,
+            dimension,
+            samples_seen: 0,
+            core,
+            trace: None,
         })
+    }
+
+    /// Creates a detector that also records its full [`DetectorTrace`]
+    /// (grows with the stream — for offline analysis).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`DetectorConfig::validate`] failures.
+    pub fn recording(config: DetectorConfig) -> Result<Self> {
+        let mut det = Self::new(config)?;
+        det.trace = Some(Box::default());
+        Ok(det)
     }
 
     /// The configuration.
@@ -495,206 +838,148 @@ impl HolderDimensionDetector {
     /// # Errors
     ///
     /// Returns [`Error::NonFinite`] for NaN/infinite samples (repair gaps
-    /// with [`aging_timeseries::interp`] before feeding) and propagates
-    /// internal estimator failures.
+    /// with [`aging_timeseries::interp`] before feeding; the sample is not
+    /// absorbed) and propagates internal estimator failures.
     pub fn push(&mut self, value: f64) -> Result<Option<Alert>> {
         if !value.is_finite() {
             return Err(Error::NonFinite {
-                index: self.samples_seen(),
+                index: self.samples_seen as usize,
             });
         }
-        self.samples.push(value);
-
+        self.samples_seen += 1;
         // Hölder point for the centre of the trailing neighbourhood.
-        let w = self.config.holder_radius;
-        if self.samples_seen() > 2 * w {
-            let window = &self.samples[self.samples.len() - (2 * w + 1)..];
-            let h =
-                holder::increment_exponent(window, self.config.holder_max_lag, self.config.max_h)?;
-            self.holder_trace.push(h);
-        } else {
+        let Some(h) = self.holder.push(value)? else {
             return Ok(None);
+        };
+        if let Some(trace) = &mut self.trace {
+            trace.holder_trace.push(h);
         }
-
         // Dimension window due?
-        let n = self.holder_dropped + self.holder_trace.len();
+        let Some(point) = self.dimension.push(h)? else {
+            return Ok(None);
+        };
+        let (d, mean_h) = (point.dimension, point.mean);
+        let raw_index = (self.samples_seen - 1) as usize;
+        if let Some(trace) = &mut self.trace {
+            trace.dimension_trace.push((raw_index, d));
+            trace.mean_holder_trace.push((raw_index, mean_h));
+        }
         let cfg = &self.config;
-        if n < cfg.dimension_window
-            || !(n - cfg.dimension_window).is_multiple_of(cfg.dimension_stride)
-        {
-            return Ok(None);
+        let alert = self.core.step(
+            [d, mean_h],
+            |&[dim, holder]| {
+                let dim_jump = d > dim.median + dim.delta;
+                let mut collapse_level = holder.median - holder.delta;
+                if holder.median > cfg.holder_drop {
+                    // Only meaningful when there is regularity to collapse
+                    // from; a noise-like baseline (h ≈ 0) has no lower floor.
+                    collapse_level = collapse_level.max(cfg.holder_floor_fraction * holder.median);
+                }
+                let collapse = mean_h < collapse_level;
+                let anomalous = match cfg.rule {
+                    JumpRule::DimensionJump => dim_jump,
+                    JumpRule::HolderCollapse => collapse,
+                    JumpRule::Either => dim_jump || collapse,
+                };
+                anomalous.then_some(match (dim_jump, collapse) {
+                    (true, true) => Trigger::Both,
+                    (true, false) => Trigger::DimensionJump,
+                    _ => Trigger::HolderCollapse,
+                })
+            },
+            |level, trigger, &[dim, holder]| Alert {
+                sample_index: raw_index,
+                level,
+                trigger,
+                dimension: d,
+                mean_holder: mean_h,
+                dimension_baseline: dim.median,
+                holder_baseline: holder.median,
+            },
+        )?;
+        if let (Some(alert), Some(trace)) = (alert, &mut self.trace) {
+            trace.alerts.push(alert);
         }
-        let window = &self.holder_trace[self.holder_trace.len() - cfg.dimension_window..];
-        let d = cfg.dimension_method.estimate(window)?;
-        let mean_h = stats::mean(window)?;
-        let raw_index = self.samples_seen() - 1;
-        self.dimension_trace.push((raw_index, d));
-        self.mean_holder_trace.push((raw_index, mean_h));
-        self.windows_seen += 1;
-
-        // Warmup skip.
-        if self.windows_seen <= cfg.skip_windows {
-            return Ok(None);
-        }
-
-        // Baseline formation.
-        if self.baseline.is_none() {
-            self.baseline_dim.push(d);
-            self.baseline_h.push(mean_h);
-            if self.baseline_dim.len() >= cfg.baseline_windows {
-                let dim_median = stats::median(&self.baseline_dim)?;
-                let dim_mad = stats::mad(&self.baseline_dim)?;
-                let h_mad = stats::mad(&self.baseline_h)?;
-                self.baseline = Some(Baseline {
-                    dimension: dim_median,
-                    dimension_delta: (cfg.mad_multiplier * dim_mad)
-                        .clamp(cfg.jump_delta, 3.0 * cfg.jump_delta),
-                    mean_holder: stats::median(&self.baseline_h)?,
-                    holder_delta: (cfg.mad_multiplier * h_mad)
-                        .clamp(cfg.holder_drop, 2.0 * cfg.holder_drop),
-                });
-            }
-            return Ok(None);
-        }
-        let baseline = self.baseline.expect("set above");
-
-        // Anomaly rules.
-        let dim_jump = d > baseline.dimension + baseline.dimension_delta;
-        let mut collapse_level = baseline.mean_holder - baseline.holder_delta;
-        if baseline.mean_holder > cfg.holder_drop {
-            // Only meaningful when there is regularity to collapse from;
-            // a noise-like baseline (h ≈ 0) has no lower floor.
-            collapse_level = collapse_level.max(cfg.holder_floor_fraction * baseline.mean_holder);
-        }
-        let collapse = mean_h < collapse_level;
-        let anomalous = match cfg.rule {
-            JumpRule::DimensionJump => dim_jump,
-            JumpRule::HolderCollapse => collapse,
-            JumpRule::Either => dim_jump || collapse,
-        };
-        if !anomalous {
-            self.consecutive_anomalies = 0;
-            return Ok(None);
-        }
-        self.consecutive_anomalies += 1;
-        if self.alarmed {
-            return Ok(None);
-        }
-        let level = if self.consecutive_anomalies >= cfg.confirm_windows {
-            self.alarmed = true;
-            AlertLevel::Alarm
-        } else if self.consecutive_anomalies == 1 {
-            AlertLevel::Warning
-        } else {
-            return Ok(None);
-        };
-        let trigger = match (dim_jump, collapse) {
-            (true, true) => Trigger::Both,
-            (true, false) => Trigger::DimensionJump,
-            (false, true) => Trigger::HolderCollapse,
-            (false, false) => unreachable!("anomalous implies a trigger"),
-        };
-        let alert = Alert {
-            sample_index: raw_index,
-            level,
-            trigger,
-            dimension: d,
-            mean_holder: mean_h,
-            dimension_baseline: baseline.dimension,
-            holder_baseline: baseline.mean_holder,
-        };
-        self.alerts.push(alert);
-        Ok(Some(alert))
+        Ok(alert)
     }
 
-    /// All alerts so far, in order.
-    pub fn alerts(&self) -> &[Alert] {
-        &self.alerts
+    /// The recorded trace, when built with
+    /// [`HolderDimensionDetector::recording`].
+    pub fn trace(&self) -> Option<&DetectorTrace> {
+        self.trace.as_deref()
     }
 
     /// Whether the full alarm has fired.
     pub fn is_alarmed(&self) -> bool {
-        self.alarmed
+        self.core.is_alarmed()
     }
 
     /// The established baseline, once enough windows exist.
     pub fn baseline(&self) -> Option<Baseline> {
-        self.baseline
+        self.core.baseline().map(|[dim, holder]| Baseline {
+            dimension: dim.median,
+            dimension_delta: dim.delta,
+            mean_holder: holder.median,
+            holder_delta: holder.delta,
+        })
     }
 
-    /// The Hölder trace computed so far (delayed by `holder_radius`
-    /// samples relative to the raw input).
-    pub fn holder_trace(&self) -> &[f64] {
-        &self.holder_trace
+    /// The most recent alert, if any.
+    pub fn last_alert(&self) -> Option<Alert> {
+        self.core.last_alert()
     }
 
-    /// The dimension trace: `(raw-sample index, dimension)` pairs.
-    pub fn dimension_trace(&self) -> &[(usize, f64)] {
-        &self.dimension_trace
+    /// Raw samples consumed since construction or the last reset.
+    pub fn samples_seen(&self) -> u64 {
+        self.samples_seen
     }
 
-    /// The windowed mean-Hölder trace: `(raw-sample index, mean h)` pairs.
-    pub fn mean_holder_trace(&self) -> &[(usize, f64)] {
-        &self.mean_holder_trace
-    }
-
-    /// Number of raw samples consumed (including any dropped by
-    /// [`HolderDimensionDetector::shrink_history`]).
-    pub fn len(&self) -> usize {
-        self.samples_seen()
-    }
-
-    /// Whether no samples have been consumed yet.
-    pub fn is_empty(&self) -> bool {
-        self.samples_seen() == 0
-    }
-
-    /// Total raw samples consumed over the detector's lifetime.
-    pub fn samples_seen(&self) -> usize {
-        self.samples_dropped + self.samples.len()
-    }
-
-    /// Drops buffered history that future computations no longer need,
-    /// bounding the detector's memory for indefinite streaming. Alerts and
-    /// the dimension trace are kept (they are small — one entry per
-    /// stride); the raw-sample and Hölder buffers are truncated to the
-    /// trailing windows the next push reads, so
-    /// [`HolderDimensionDetector::holder_trace`] subsequently returns only
-    /// the retained suffix.
-    ///
-    /// Calling this at any point does not change any future alert or
-    /// trace value.
-    pub fn shrink_history(&mut self) {
-        let keep_samples = 2 * self.config.holder_radius + 1;
-        if self.samples.len() > keep_samples {
-            let drop = self.samples.len() - keep_samples;
-            self.samples.drain(..drop);
-            self.samples_dropped += drop;
-        }
-        let keep_holder = self.config.dimension_window;
-        if self.holder_trace.len() > keep_holder {
-            let drop = self.holder_trace.len() - keep_holder;
-            self.holder_trace.drain(..drop);
-            self.holder_dropped += drop;
-        }
+    /// Upper bound on retained samples across all internal windows — the
+    /// detector's memory is O(this), independent of stream length (the
+    /// optional trace recorder aside).
+    pub fn memory_bound_samples(&self) -> usize {
+        2 * self.config.holder_radius
+            + 1
+            + self.config.dimension_window
+            + self.config.baseline_windows
     }
 
     /// Resets all state (e.g. after a rejuvenation or reboot). The
-    /// configuration is retained.
+    /// configuration, the lifetime emission counters and whether a trace
+    /// is recorded are retained; a recorded trace restarts empty.
     pub fn reset(&mut self) {
-        self.samples.clear();
-        self.samples_dropped = 0;
-        self.holder_trace.clear();
-        self.holder_dropped = 0;
-        self.dimension_trace.clear();
-        self.mean_holder_trace.clear();
-        self.windows_seen = 0;
-        self.baseline_dim.clear();
-        self.baseline_h.clear();
-        self.baseline = None;
-        self.consecutive_anomalies = 0;
-        self.alerts.clear();
-        self.alarmed = false;
+        self.holder.reset();
+        self.dimension.reset();
+        self.samples_seen = 0;
+        self.core.reset();
+        if let Some(trace) = &mut self.trace {
+            **trace = DetectorTrace::default();
+        }
+    }
+
+    /// Serializes all dynamic state (kernels, warmup/baseline progress,
+    /// confirmation run, latch and emission counters) via
+    /// [`aging_timeseries::persist`]; the config is re-supplied at
+    /// construction and the trace recorder is not persisted.
+    pub fn encode_state(&self, out: &mut Vec<u8>) {
+        self.holder.encode_state(out);
+        self.dimension.encode_state(out);
+        persist::put_u64(out, self.samples_seen);
+        self.core.encode_state(out, Alert::encode);
+    }
+
+    /// Restores state written by [`HolderDimensionDetector::encode_state`]
+    /// into a detector constructed with the same config.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParameter`] on truncation, a window
+    /// mismatch or corrupt enum codes.
+    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()> {
+        self.holder.restore_state(r)?;
+        self.dimension.restore_state(r)?;
+        self.samples_seen = r.u64()?;
+        self.core.restore_state(r, Alert::decode)
     }
 }
 
@@ -724,23 +1009,25 @@ impl OfflineAnalysis {
     }
 }
 
-/// Runs the detector over a complete series in one call.
+/// Runs a recording detector over a complete series in one call.
 ///
 /// # Errors
 ///
 /// Propagates configuration and estimator failures; NaN samples are
 /// rejected.
 pub fn analyze(values: &[f64], config: &DetectorConfig) -> Result<OfflineAnalysis> {
-    let mut det = HolderDimensionDetector::new(config.clone())?;
+    let mut det = HolderDimensionDetector::recording(config.clone())?;
     for &v in values {
         det.push(v)?;
     }
+    let baseline = det.baseline();
+    let trace = *det.trace.expect("recording detector keeps a trace");
     Ok(OfflineAnalysis {
-        holder_trace: det.holder_trace,
-        dimension_trace: det.dimension_trace,
-        mean_holder_trace: det.mean_holder_trace,
-        alerts: det.alerts,
-        baseline: det.baseline,
+        holder_trace: trace.holder_trace,
+        dimension_trace: trace.dimension_trace,
+        mean_holder_trace: trace.mean_holder_trace,
+        alerts: trace.alerts,
+        baseline,
     })
 }
 
@@ -772,6 +1059,7 @@ mod tests {
         assert!(bad(|c| c.max_h = 0.0));
         assert!(bad(|c| c.dimension_window = 4));
         assert!(bad(|c| c.dimension_stride = 0));
+        assert!(bad(|c| c.dimension_stride = c.dimension_window + 1));
         assert!(bad(|c| c.baseline_windows = 1));
         assert!(bad(|c| c.jump_delta = 0.0));
         assert!(bad(|c| c.mad_multiplier = f64::NAN));
@@ -909,29 +1197,34 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_offline() {
-        let x = generate::fbm(2000, 0.6, 7).unwrap();
+    fn recorder_does_not_change_decisions() {
+        let x = collapse_signal(4000, 7);
         let config = DetectorConfig::default();
         let offline = analyze(&x, &config).unwrap();
         let mut det = HolderDimensionDetector::new(config).unwrap();
+        let mut alerts = Vec::new();
         for &v in &x {
-            det.push(v).unwrap();
+            alerts.extend(det.push(v).unwrap());
         }
-        assert_eq!(det.holder_trace(), offline.holder_trace.as_slice());
-        assert_eq!(det.dimension_trace(), offline.dimension_trace.as_slice());
-        assert_eq!(det.alerts(), offline.alerts.as_slice());
+        assert!(det.trace().is_none());
+        assert!(offline.first_alarm().is_some());
+        assert_eq!(alerts, offline.alerts);
+        assert_eq!(det.baseline(), offline.baseline);
+        assert_eq!(det.last_alert(), offline.alerts.last().copied());
     }
 
     #[test]
     fn alarm_latches_until_reset() {
         let x = collapse_signal(4000, 8);
-        let mut det = HolderDimensionDetector::new(DetectorConfig::default()).unwrap();
+        let mut det = HolderDimensionDetector::recording(DetectorConfig::default()).unwrap();
         for &v in &x {
             det.push(v).unwrap();
         }
         assert!(det.is_alarmed());
         let alarm_count = det
-            .alerts()
+            .trace()
+            .unwrap()
+            .alerts
             .iter()
             .filter(|a| a.level == AlertLevel::Alarm)
             .count();
@@ -939,31 +1232,45 @@ mod tests {
 
         det.reset();
         assert!(!det.is_alarmed());
-        assert!(det.is_empty());
-        assert!(det.alerts().is_empty());
+        assert_eq!(det.samples_seen(), 0);
+        assert_eq!(det.trace(), Some(&DetectorTrace::default()));
         assert_eq!(det.baseline(), None);
+        assert_eq!(det.last_alert(), None);
     }
 
     #[test]
-    fn shrink_history_preserves_behaviour_and_bounds_memory() {
-        let x = collapse_signal(4000, 20);
-        let config = DetectorConfig::default();
-        let mut full = HolderDimensionDetector::new(config.clone()).unwrap();
-        let mut shrunk = HolderDimensionDetector::new(config.clone()).unwrap();
-        for (i, &v) in x.iter().enumerate() {
-            full.push(v).unwrap();
-            shrunk.push(v).unwrap();
-            if i % 37 == 0 {
-                shrunk.shrink_history();
-            }
+    fn decision_core_runs_warmup_baseline_confirm_latch() {
+        let mut core = DecisionCore::<1, (AlertLevel, usize)>::new(1, 3, 2, 1.0, [(0.5, 1.0)]);
+        let mut emitted = Vec::new();
+        for (i, x) in [9.0, 1.0, 1.0, 1.0, 5.0, 1.0, 5.0, 5.0, 5.0]
+            .into_iter()
+            .enumerate()
+        {
+            let rule = |&[band]: &[FeatureBand; 1]| (x > band.median + band.delta).then_some(());
+            emitted.extend(core.step([x], rule, |level, (), _| (level, i)).unwrap());
         }
-        assert_eq!(full.alerts(), shrunk.alerts());
-        assert_eq!(full.dimension_trace(), shrunk.dimension_trace());
-        assert_eq!(full.len(), shrunk.len());
-        // Memory genuinely bounded.
-        shrunk.shrink_history();
-        assert!(shrunk.holder_trace().len() <= config.dimension_window);
-        assert!(full.holder_trace().len() > config.dimension_window);
+        // The skipped 9.0 never enters the baseline; a zero MAD is clamped
+        // up to the band floor.
+        let band = FeatureBand {
+            median: 1.0,
+            delta: 0.5,
+        };
+        assert_eq!(core.baseline(), Some([band]));
+        // Warning on each fresh anomaly run, Alarm at the confirmation,
+        // nothing once latched.
+        let expected = [
+            (AlertLevel::Warning, 4),
+            (AlertLevel::Warning, 6),
+            (AlertLevel::Alarm, 7),
+        ];
+        assert_eq!(emitted, expected);
+        assert!(core.is_alarmed());
+        assert_eq!(core.last_alert(), Some((AlertLevel::Alarm, 7)));
+
+        core.reset();
+        assert!(!core.is_alarmed());
+        assert_eq!(core.baseline(), None);
+        assert_eq!(core.last_alert(), None);
     }
 
     #[test]
@@ -971,6 +1278,7 @@ mod tests {
         let mut det = HolderDimensionDetector::new(DetectorConfig::default()).unwrap();
         det.push(1.0).unwrap();
         assert!(det.push(f64::NAN).is_err());
+        assert_eq!(det.samples_seen(), 1, "a rejected sample is not absorbed");
     }
 
     #[test]

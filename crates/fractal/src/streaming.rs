@@ -7,7 +7,8 @@
 //! by [`RingBuffer`]s, so an indefinitely long counter stream is analysed
 //! in O(window) work and O(window) memory per sample.
 //!
-//! These are the kernels underneath `aging-stream`'s online detectors; the
+//! These are the kernels underneath `aging-core`'s Hölder-dimension
+//! detector (and so every online Hölder stream in `aging-stream`); the
 //! arithmetic is byte-for-byte the batch estimators' (each emission copies
 //! its ring window into a scratch buffer and calls the batch routine), so
 //! streaming results are identical to re-running the batch code on the
@@ -213,8 +214,8 @@ pub struct DimensionPoint {
 /// point-by-point and it emits the window's graph dimension every `stride`
 /// pushes once `window` points have arrived.
 ///
-/// Emission timing matches the batch detector: the first window fires at
-/// push `window`, then every `stride` pushes after that.
+/// Emission timing follows the sliding-window grid: the first window
+/// fires at push `window`, then every `stride` pushes after that.
 #[derive(Debug, Clone)]
 pub struct StreamingDimension {
     ring: RingBuffer,

@@ -184,12 +184,10 @@ impl ServeClient {
     /// Sends one batch, blocking for an ack first if the credit window
     /// is exhausted.
     ///
-    /// **Deprecated in favor of the unified ingestion surface** — new
-    /// code should feed through [`IngestSink`] (`ingest_record` /
-    /// `ingest_column`) or [`ServeClient::send_column`], which pick the
-    /// best wire framing for the negotiated protocol version. This
-    /// method stays (not removed) as the protocol-v1 record-framing
-    /// primitive those paths fall back to.
+    /// This is the record-batch primitive of the wire: one v1 `Batch`
+    /// frame carrying `records`, returning its sequence number.
+    /// [`IngestSink::ingest_record`] sends through it, and
+    /// [`ServeClient::send_column`] falls back to it on a v1 session.
     ///
     /// # Errors
     ///

@@ -382,38 +382,6 @@ pub fn counter_from_code(code: u8) -> Option<Counter> {
     Counter::ALL.get(usize::from(code)).copied()
 }
 
-fn level_code(level: AlertLevel) -> u8 {
-    match level {
-        AlertLevel::Warning => 0,
-        AlertLevel::Alarm => 1,
-    }
-}
-
-fn level_from_code(code: u8) -> Option<AlertLevel> {
-    match code {
-        0 => Some(AlertLevel::Warning),
-        1 => Some(AlertLevel::Alarm),
-        _ => None,
-    }
-}
-
-fn trigger_code(trigger: Trigger) -> u8 {
-    match trigger {
-        Trigger::DimensionJump => 0,
-        Trigger::HolderCollapse => 1,
-        Trigger::Both => 2,
-    }
-}
-
-fn trigger_from_code(code: u8) -> Option<Trigger> {
-    match code {
-        0 => Some(Trigger::DimensionJump),
-        1 => Some(Trigger::HolderCollapse),
-        2 => Some(Trigger::Both),
-        _ => None,
-    }
-}
-
 fn detector_code(name: &str) -> u8 {
     match name {
         "holder-dimension" => 0,
@@ -597,7 +565,7 @@ const DETAIL_SPECTRUM: u8 = 2;
 pub fn encode_event(event: &ServeEvent, out: &mut Vec<u8>) {
     out.extend_from_slice(&event.machine_id.to_le_bytes());
     out.extend_from_slice(&event.time_secs.to_bits().to_le_bytes());
-    out.push(level_code(event.level));
+    out.push(event.level.code());
     match &event.kind {
         AlarmKind::Detector {
             counter,
@@ -611,8 +579,8 @@ pub fn encode_event(event: &ServeEvent, out: &mut Vec<u8>) {
                 AlertDetail::Holder(alert) => {
                     out.push(DETAIL_HOLDER);
                     out.extend_from_slice(&(alert.sample_index as u64).to_le_bytes());
-                    out.push(level_code(alert.level));
-                    out.push(trigger_code(alert.trigger));
+                    out.push(alert.level.code());
+                    out.push(alert.trigger.code());
                     for v in [
                         alert.dimension,
                         alert.mean_holder,
@@ -682,7 +650,7 @@ pub fn decode_events(bytes: &[u8]) -> Result<Vec<ServeEvent>, String> {
 pub(crate) fn decode_event(r: &mut Reader<'_>) -> Result<ServeEvent, String> {
     let machine_id = r.u64()?;
     let time_secs = r.f64()?;
-    let level = level_from_code(r.u8()?).ok_or("bad level code")?;
+    let level = AlertLevel::from_code(r.u8()?).map_err(|_| "bad level code")?;
     let kind = match r.u8()? {
         EVENT_DETECTOR => {
             let counter = counter_from_code(r.u8()?).ok_or("bad counter code")?;
@@ -690,8 +658,8 @@ pub(crate) fn decode_event(r: &mut Reader<'_>) -> Result<ServeEvent, String> {
             let detail = match r.u8()? {
                 DETAIL_HOLDER => {
                     let sample_index = r.u64()? as usize;
-                    let alevel = level_from_code(r.u8()?).ok_or("bad alert level")?;
-                    let trigger = trigger_from_code(r.u8()?).ok_or("bad trigger code")?;
+                    let alevel = AlertLevel::from_code(r.u8()?).map_err(|_| "bad alert level")?;
+                    let trigger = Trigger::from_code(r.u8()?).map_err(|_| "bad trigger code")?;
                     let dimension = r.f64()?;
                     let mean_holder = r.f64()?;
                     let dimension_baseline = r.f64()?;

@@ -1,116 +1,25 @@
-//! Bounded-memory online detectors.
+//! Bounded-memory online detectors behind one wrapper,
+//! [`StreamingDetector`].
 //!
-//! [`StreamingHolderDimension`] is the paper's Hölder-dimension crash
-//! predictor restated over the incremental kernels: ring-buffered trailing
-//! windows ([`StreamingHolder`], [`StreamingDimension`]) replace the batch
-//! detector's grow-only history, making per-sample cost O(window) work and
-//! O(window) memory **independent of stream length**. The decision logic
-//! (warmup skip, median/MAD baseline, jump/collapse rules, consecutive
-//! confirmation) is copied statement-for-statement from
-//! [`aging_core::detector::HolderDimensionDetector::push`], and each
-//! emission hands the same windows to the same estimators — so the alert
-//! sequence is identical to the batch detector's on the same input (the
-//! `streaming_parity` integration test enforces this alarm-for-alarm).
+//! The Hölder-dimension family is [`HolderDimensionDetector`] itself — the
+//! same type the offline [`aging_core::detector::analyze`] runs with its
+//! trace recorder on — so the streaming alert sequence equals the batch
+//! one because both run the same code. [`StreamingSpectrumWidth`] feeds
+//! its Δα emissions to the same [`DecisionCore`], so the two families
+//! share one warmup → baseline → confirm → latch implementation.
 //!
 //! [`StreamingTrend`] is the classical Mann–Kendall + Sen baseline in the
 //! same bounded-memory shape, with the O(window²) S-statistic recomputation
 //! replaced by [`StreamingMannKendall`]'s O(window) slide.
 
 use aging_core::baseline::{ResourceDirection, TrendPredictorConfig};
-use aging_core::detector::{Alert, AlertLevel, Baseline, DetectorConfig, JumpRule, Trigger};
+use aging_core::detector::{
+    Alert, AlertLevel, DecisionCore, DetectorConfig, HolderDimensionDetector,
+};
 use aging_fractal::spectrum::{SpectrumConfig, StreamingSpectrum};
-use aging_fractal::streaming::{StreamingDimension, StreamingHolder};
 use aging_timeseries::persist::{self, Reader};
 use aging_timeseries::trend::{StreamingMannKendall, TrendDirection};
-use aging_timeseries::{stats, Error, Result};
-
-// Local byte codes for the core enums — the persistence schema is owned
-// here, not by `aging-core`. `pub(crate)` so the supervisor's alarm
-// history codec shares the same codes.
-pub(crate) fn level_code(level: AlertLevel) -> u8 {
-    match level {
-        AlertLevel::Warning => 0,
-        AlertLevel::Alarm => 1,
-    }
-}
-
-pub(crate) fn level_from_code(code: u8) -> Result<AlertLevel> {
-    match code {
-        0 => Ok(AlertLevel::Warning),
-        1 => Ok(AlertLevel::Alarm),
-        c => Err(Error::invalid("persist", format!("bad alert level {c}"))),
-    }
-}
-
-pub(crate) fn trigger_code(trigger: Trigger) -> u8 {
-    match trigger {
-        Trigger::DimensionJump => 0,
-        Trigger::HolderCollapse => 1,
-        Trigger::Both => 2,
-    }
-}
-
-pub(crate) fn trigger_from_code(code: u8) -> Result<Trigger> {
-    match code {
-        0 => Ok(Trigger::DimensionJump),
-        1 => Ok(Trigger::HolderCollapse),
-        2 => Ok(Trigger::Both),
-        c => Err(Error::invalid("persist", format!("bad trigger {c}"))),
-    }
-}
-
-fn put_opt_alert(out: &mut Vec<u8>, alert: Option<Alert>) {
-    match alert {
-        None => persist::put_bool(out, false),
-        Some(a) => {
-            persist::put_bool(out, true);
-            persist::put_usize(out, a.sample_index);
-            persist::put_u8(out, level_code(a.level));
-            persist::put_u8(out, trigger_code(a.trigger));
-            persist::put_f64(out, a.dimension);
-            persist::put_f64(out, a.mean_holder);
-            persist::put_f64(out, a.dimension_baseline);
-            persist::put_f64(out, a.holder_baseline);
-        }
-    }
-}
-
-fn read_opt_alert(r: &mut Reader<'_>) -> Result<Option<Alert>> {
-    if !r.bool()? {
-        return Ok(None);
-    }
-    Ok(Some(Alert {
-        sample_index: r.usize_()?,
-        level: level_from_code(r.u8()?)?,
-        trigger: trigger_from_code(r.u8()?)?,
-        dimension: r.f64()?,
-        mean_holder: r.f64()?,
-        dimension_baseline: r.f64()?,
-        holder_baseline: r.f64()?,
-    }))
-}
-
-fn put_f64_vec(out: &mut Vec<u8>, v: &[f64]) {
-    persist::put_usize(out, v.len());
-    for &x in v {
-        persist::put_f64(out, x);
-    }
-}
-
-fn read_f64_vec(r: &mut Reader<'_>, max_len: usize) -> Result<Vec<f64>> {
-    let n = r.usize_()?;
-    if n > max_len {
-        return Err(Error::invalid(
-            "persist",
-            format!("vector length {n} exceeds bound {max_len}"),
-        ));
-    }
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(r.f64()?);
-    }
-    Ok(v)
-}
+use aging_timeseries::{Error, Result};
 
 /// Which online detector to run on a stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,7 +48,7 @@ impl DetectorSpec {
 /// Detector-specific payload of a streaming alert.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AlertDetail {
-    /// Hölder-dimension alert (the batch detector's full measurement).
+    /// Hölder-dimension alert (the detector's full measurement).
     Holder(Alert),
     /// Trend alert: estimated time to exhaustion when the alarm fired.
     Trend {
@@ -166,274 +75,6 @@ pub struct StreamAlert {
     pub level: AlertLevel,
     /// Detector-specific measurements.
     pub detail: AlertDetail,
-}
-
-/// Streaming form of the paper's Hölder-dimension detector.
-///
-/// See the module docs for the parity contract with
-/// [`aging_core::detector::HolderDimensionDetector`].
-#[derive(Debug, Clone)]
-pub struct StreamingHolderDimension {
-    config: DetectorConfig,
-    holder: StreamingHolder,
-    dimension: StreamingDimension,
-    samples_seen: u64,
-    windows_seen: usize,
-    baseline_dim: Vec<f64>,
-    baseline_h: Vec<f64>,
-    baseline: Option<Baseline>,
-    consecutive_anomalies: usize,
-    alarmed: bool,
-    warnings_emitted: u64,
-    alarms_emitted: u64,
-    last_alert: Option<Alert>,
-}
-
-impl StreamingHolderDimension {
-    /// Creates a streaming detector.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DetectorConfig::validate`] and kernel-constructor
-    /// failures.
-    pub fn new(config: DetectorConfig) -> Result<Self> {
-        config.validate()?;
-        let holder =
-            StreamingHolder::new(config.holder_radius, config.holder_max_lag, config.max_h)?;
-        let dimension = StreamingDimension::new(
-            config.dimension_method.window_dimension(),
-            config.dimension_window,
-            config.dimension_stride,
-        )?;
-        Ok(StreamingHolderDimension {
-            config,
-            holder,
-            dimension,
-            samples_seen: 0,
-            windows_seen: 0,
-            baseline_dim: Vec::new(),
-            baseline_h: Vec::new(),
-            baseline: None,
-            consecutive_anomalies: 0,
-            alarmed: false,
-            warnings_emitted: 0,
-            alarms_emitted: 0,
-            last_alert: None,
-        })
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &DetectorConfig {
-        &self.config
-    }
-
-    /// Feeds one counter sample; returns an alert exactly when the batch
-    /// detector would.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`aging_timeseries::Error::NonFinite`] for NaN/infinite
-    /// samples and propagates estimator failures.
-    pub fn push(&mut self, value: f64) -> Result<Option<Alert>> {
-        self.samples_seen += 1;
-        // Hölder point for the centre of the trailing neighbourhood.
-        let Some(h) = self.holder.push(value)? else {
-            return Ok(None);
-        };
-        // Dimension window due?
-        let Some(point) = self.dimension.push(h)? else {
-            return Ok(None);
-        };
-        let (d, mean_h) = (point.dimension, point.mean);
-        let raw_index = (self.samples_seen - 1) as usize;
-        self.windows_seen += 1;
-        let cfg = &self.config;
-
-        // Warmup skip.
-        if self.windows_seen <= cfg.skip_windows {
-            return Ok(None);
-        }
-
-        // Baseline formation.
-        if self.baseline.is_none() {
-            self.baseline_dim.push(d);
-            self.baseline_h.push(mean_h);
-            if self.baseline_dim.len() >= cfg.baseline_windows {
-                let dim_median = stats::median(&self.baseline_dim)?;
-                let dim_mad = stats::mad(&self.baseline_dim)?;
-                let h_mad = stats::mad(&self.baseline_h)?;
-                self.baseline = Some(Baseline {
-                    dimension: dim_median,
-                    dimension_delta: (cfg.mad_multiplier * dim_mad)
-                        .clamp(cfg.jump_delta, 3.0 * cfg.jump_delta),
-                    mean_holder: stats::median(&self.baseline_h)?,
-                    holder_delta: (cfg.mad_multiplier * h_mad)
-                        .clamp(cfg.holder_drop, 2.0 * cfg.holder_drop),
-                });
-                // The formation buffers are dead state once the baseline
-                // freezes; drop them so long-lived detectors stay lean.
-                self.baseline_dim = Vec::new();
-                self.baseline_h = Vec::new();
-            }
-            return Ok(None);
-        }
-        let baseline = self.baseline.expect("set above");
-
-        // Anomaly rules (verbatim from the batch detector).
-        let dim_jump = d > baseline.dimension + baseline.dimension_delta;
-        let mut collapse_level = baseline.mean_holder - baseline.holder_delta;
-        if baseline.mean_holder > cfg.holder_drop {
-            collapse_level = collapse_level.max(cfg.holder_floor_fraction * baseline.mean_holder);
-        }
-        let collapse = mean_h < collapse_level;
-        let anomalous = match cfg.rule {
-            JumpRule::DimensionJump => dim_jump,
-            JumpRule::HolderCollapse => collapse,
-            _ => dim_jump || collapse,
-        };
-        if !anomalous {
-            self.consecutive_anomalies = 0;
-            return Ok(None);
-        }
-        self.consecutive_anomalies += 1;
-        if self.alarmed {
-            return Ok(None);
-        }
-        let level = if self.consecutive_anomalies >= cfg.confirm_windows {
-            self.alarmed = true;
-            AlertLevel::Alarm
-        } else if self.consecutive_anomalies == 1 {
-            AlertLevel::Warning
-        } else {
-            return Ok(None);
-        };
-        let trigger = match (dim_jump, collapse) {
-            (true, true) => Trigger::Both,
-            (true, false) => Trigger::DimensionJump,
-            (false, true) => Trigger::HolderCollapse,
-            (false, false) => unreachable!("anomalous implies a trigger"),
-        };
-        let alert = Alert {
-            sample_index: raw_index,
-            level,
-            trigger,
-            dimension: d,
-            mean_holder: mean_h,
-            dimension_baseline: baseline.dimension,
-            holder_baseline: baseline.mean_holder,
-        };
-        match level {
-            AlertLevel::Warning => self.warnings_emitted += 1,
-            AlertLevel::Alarm => self.alarms_emitted += 1,
-        }
-        self.last_alert = Some(alert);
-        Ok(Some(alert))
-    }
-
-    /// Whether the confirmed alarm has fired.
-    pub fn is_alarmed(&self) -> bool {
-        self.alarmed
-    }
-
-    /// The established baseline, once formed.
-    pub fn baseline(&self) -> Option<Baseline> {
-        self.baseline
-    }
-
-    /// The most recent alert, if any.
-    pub fn last_alert(&self) -> Option<Alert> {
-        self.last_alert
-    }
-
-    /// Samples consumed over the detector's lifetime.
-    pub fn samples_seen(&self) -> u64 {
-        self.samples_seen
-    }
-
-    /// Upper bound on retained samples across all internal windows — the
-    /// detector's memory is O(this), independent of stream length.
-    pub fn memory_bound_samples(&self) -> usize {
-        2 * self.config.holder_radius
-            + 1
-            + self.config.dimension_window
-            + self.config.baseline_windows
-    }
-
-    /// Clears all state (after reboot/rejuvenation or a feed gap); the
-    /// configuration and lifetime emission counters are retained.
-    pub fn reset(&mut self) {
-        self.holder.reset();
-        self.dimension.reset();
-        self.samples_seen = 0;
-        self.windows_seen = 0;
-        self.baseline_dim.clear();
-        self.baseline_h.clear();
-        self.baseline = None;
-        self.consecutive_anomalies = 0;
-        self.alarmed = false;
-        self.last_alert = None;
-    }
-
-    /// Serializes all dynamic state (kernels, warmup/baseline progress,
-    /// confirmation run, latch and emission counters) via
-    /// [`aging_timeseries::persist`]; the config is re-supplied at
-    /// construction.
-    pub fn encode_state(&self, out: &mut Vec<u8>) {
-        self.holder.encode_state(out);
-        self.dimension.encode_state(out);
-        persist::put_u64(out, self.samples_seen);
-        persist::put_usize(out, self.windows_seen);
-        put_f64_vec(out, &self.baseline_dim);
-        put_f64_vec(out, &self.baseline_h);
-        match self.baseline {
-            None => persist::put_bool(out, false),
-            Some(b) => {
-                persist::put_bool(out, true);
-                persist::put_f64(out, b.dimension);
-                persist::put_f64(out, b.dimension_delta);
-                persist::put_f64(out, b.mean_holder);
-                persist::put_f64(out, b.holder_delta);
-            }
-        }
-        persist::put_usize(out, self.consecutive_anomalies);
-        persist::put_bool(out, self.alarmed);
-        persist::put_u64(out, self.warnings_emitted);
-        persist::put_u64(out, self.alarms_emitted);
-        put_opt_alert(out, self.last_alert);
-    }
-
-    /// Restores state written by
-    /// [`StreamingHolderDimension::encode_state`] into a detector
-    /// constructed with the same config.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] on truncation, a window
-    /// mismatch or corrupt enum codes.
-    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()> {
-        self.holder.restore_state(r)?;
-        self.dimension.restore_state(r)?;
-        self.samples_seen = r.u64()?;
-        self.windows_seen = r.usize_()?;
-        self.baseline_dim = read_f64_vec(r, self.config.baseline_windows)?;
-        self.baseline_h = read_f64_vec(r, self.config.baseline_windows)?;
-        self.baseline = if r.bool()? {
-            Some(Baseline {
-                dimension: r.f64()?,
-                dimension_delta: r.f64()?,
-                mean_holder: r.f64()?,
-                holder_delta: r.f64()?,
-            })
-        } else {
-            None
-        };
-        self.consecutive_anomalies = r.usize_()?;
-        self.alarmed = r.bool()?;
-        self.warnings_emitted = r.u64()?;
-        self.alarms_emitted = r.u64()?;
-        self.last_alert = read_opt_alert(r)?;
-        Ok(())
-    }
 }
 
 /// Streaming Mann–Kendall + Sen-slope exhaustion baseline.
@@ -701,24 +342,17 @@ pub struct SpectrumAlert {
 
 /// Streaming multifractal spectrum-width detector.
 ///
-/// Runs a [`StreamingSpectrum`] kernel over the counter stream and applies
-/// the same decision discipline as [`StreamingHolderDimension`] to the
-/// emitted Δα values: warmup skip, a median/MAD baseline frozen after
-/// `baseline_windows` emissions, widening anomalies confirmed over
-/// `confirm_windows` consecutive emissions, Warning on the first anomaly,
-/// a latched Alarm on confirmation.
+/// Runs a [`StreamingSpectrum`] kernel over the counter stream and feeds
+/// each emitted Δα to the shared [`DecisionCore`]: warmup skip, a
+/// median/MAD baseline frozen after `baseline_windows` emissions,
+/// widening anomalies confirmed over `confirm_windows` consecutive
+/// emissions, Warning on the first anomaly, a latched Alarm on
+/// confirmation.
 #[derive(Debug, Clone)]
 pub struct StreamingSpectrumWidth {
     config: SpectrumDetectorConfig,
     kernel: StreamingSpectrum,
-    windows_seen: usize,
-    baseline_widths: Vec<f64>,
-    baseline: Option<SpectrumBaseline>,
-    consecutive_anomalies: usize,
-    alarmed: bool,
-    warnings_emitted: u64,
-    alarms_emitted: u64,
-    last_alert: Option<SpectrumAlert>,
+    core: DecisionCore<1, SpectrumAlert>,
     last_width: Option<f64>,
 }
 
@@ -731,17 +365,17 @@ impl StreamingSpectrumWidth {
     pub fn new(config: SpectrumDetectorConfig) -> Result<Self> {
         config.validate()?;
         let kernel = StreamingSpectrum::new(&config.spectrum)?;
+        let core = DecisionCore::new(
+            config.skip_windows,
+            config.baseline_windows,
+            config.confirm_windows,
+            config.mad_multiplier,
+            [(config.width_delta, 3.0 * config.width_delta)],
+        );
         Ok(StreamingSpectrumWidth {
             config,
             kernel,
-            windows_seen: 0,
-            baseline_widths: Vec::new(),
-            baseline: None,
-            consecutive_anomalies: 0,
-            alarmed: false,
-            warnings_emitted: 0,
-            alarms_emitted: 0,
-            last_alert: None,
+            core,
             last_width: None,
         })
     }
@@ -762,75 +396,41 @@ impl StreamingSpectrumWidth {
             return Ok(None);
         };
         self.last_width = Some(win.delta_alpha);
-        self.windows_seen += 1;
-        let cfg = &self.config;
-
-        // Warmup skip.
-        if self.windows_seen <= cfg.skip_windows {
-            return Ok(None);
-        }
-
-        // Baseline formation.
-        if self.baseline.is_none() {
-            self.baseline_widths.push(win.delta_alpha);
-            if self.baseline_widths.len() >= cfg.baseline_windows {
-                let width = stats::median(&self.baseline_widths)?;
-                let mad = stats::mad(&self.baseline_widths)?;
-                self.baseline = Some(SpectrumBaseline {
-                    width,
-                    delta: (cfg.mad_multiplier * mad).clamp(cfg.width_delta, 3.0 * cfg.width_delta),
-                });
-                // Dead state once the baseline freezes.
-                self.baseline_widths = Vec::new();
-            }
-            return Ok(None);
-        }
-        let baseline = self.baseline.expect("set above");
-
-        // Anomaly rule: the spectrum widened beyond the baseline band.
-        if win.delta_alpha <= baseline.width + baseline.delta {
-            self.consecutive_anomalies = 0;
-            return Ok(None);
-        }
-        self.consecutive_anomalies += 1;
-        if self.alarmed {
-            return Ok(None);
-        }
-        let level = if self.consecutive_anomalies >= cfg.confirm_windows {
-            self.alarmed = true;
-            AlertLevel::Alarm
-        } else if self.consecutive_anomalies == 1 {
-            AlertLevel::Warning
-        } else {
-            return Ok(None);
-        };
-        let alert = SpectrumAlert {
-            sample_index: win.input_index,
-            level,
-            delta_alpha: win.delta_alpha,
-            baseline_width: baseline.width,
-        };
-        match level {
-            AlertLevel::Warning => self.warnings_emitted += 1,
-            AlertLevel::Alarm => self.alarms_emitted += 1,
-        }
-        self.last_alert = Some(alert);
-        Ok(Some(alert))
+        self.core.step(
+            [win.delta_alpha],
+            // Anomaly rule: the spectrum widened beyond the baseline band.
+            |&[width]| {
+                if win.delta_alpha <= width.median + width.delta {
+                    None
+                } else {
+                    Some(())
+                }
+            },
+            |level, (), &[width]| SpectrumAlert {
+                sample_index: win.input_index,
+                level,
+                delta_alpha: win.delta_alpha,
+                baseline_width: width.median,
+            },
+        )
     }
 
     /// Whether the confirmed alarm has fired.
     pub fn is_alarmed(&self) -> bool {
-        self.alarmed
+        self.core.is_alarmed()
     }
 
     /// The established baseline, once formed.
     pub fn baseline(&self) -> Option<SpectrumBaseline> {
-        self.baseline
+        self.core.baseline().map(|[width]| SpectrumBaseline {
+            width: width.median,
+            delta: width.delta,
+        })
     }
 
     /// The most recent alert, if any.
     pub fn last_alert(&self) -> Option<SpectrumAlert> {
-        self.last_alert
+        self.core.last_alert()
     }
 
     /// Δα of the most recently emitted window, if any.
@@ -852,12 +452,7 @@ impl StreamingSpectrumWidth {
     /// configuration and lifetime emission counters are retained.
     pub fn reset(&mut self) {
         self.kernel.reset();
-        self.windows_seen = 0;
-        self.baseline_widths.clear();
-        self.baseline = None;
-        self.consecutive_anomalies = 0;
-        self.alarmed = false;
-        self.last_alert = None;
+        self.core.reset();
         self.last_width = None;
     }
 
@@ -865,30 +460,12 @@ impl StreamingSpectrumWidth {
     /// config is re-supplied at construction.
     pub fn encode_state(&self, out: &mut Vec<u8>) {
         self.kernel.encode_state(out);
-        persist::put_usize(out, self.windows_seen);
-        put_f64_vec(out, &self.baseline_widths);
-        match self.baseline {
-            None => persist::put_bool(out, false),
-            Some(b) => {
-                persist::put_bool(out, true);
-                persist::put_f64(out, b.width);
-                persist::put_f64(out, b.delta);
-            }
-        }
-        persist::put_usize(out, self.consecutive_anomalies);
-        persist::put_bool(out, self.alarmed);
-        persist::put_u64(out, self.warnings_emitted);
-        persist::put_u64(out, self.alarms_emitted);
-        match self.last_alert {
-            None => persist::put_bool(out, false),
-            Some(a) => {
-                persist::put_bool(out, true);
-                persist::put_u64(out, a.sample_index);
-                persist::put_u8(out, level_code(a.level));
-                persist::put_f64(out, a.delta_alpha);
-                persist::put_f64(out, a.baseline_width);
-            }
-        }
+        self.core.encode_state(out, |a, out| {
+            persist::put_u64(out, a.sample_index);
+            persist::put_u8(out, a.level.code());
+            persist::put_f64(out, a.delta_alpha);
+            persist::put_f64(out, a.baseline_width);
+        });
         persist::put_opt_f64(out, self.last_width);
     }
 
@@ -901,30 +478,14 @@ impl StreamingSpectrumWidth {
     /// mismatch or corrupt enum codes.
     pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<()> {
         self.kernel.restore_state(r)?;
-        self.windows_seen = r.usize_()?;
-        self.baseline_widths = read_f64_vec(r, self.config.baseline_windows)?;
-        self.baseline = if r.bool()? {
-            Some(SpectrumBaseline {
-                width: r.f64()?,
-                delta: r.f64()?,
-            })
-        } else {
-            None
-        };
-        self.consecutive_anomalies = r.usize_()?;
-        self.alarmed = r.bool()?;
-        self.warnings_emitted = r.u64()?;
-        self.alarms_emitted = r.u64()?;
-        self.last_alert = if r.bool()? {
-            Some(SpectrumAlert {
+        self.core.restore_state(r, |r| {
+            Ok(SpectrumAlert {
                 sample_index: r.u64()?,
-                level: level_from_code(r.u8()?)?,
+                level: AlertLevel::from_code(r.u8()?)?,
                 delta_alpha: r.f64()?,
                 baseline_width: r.f64()?,
             })
-        } else {
-            None
-        };
+        })?;
         self.last_width = r.opt_f64()?;
         Ok(())
     }
@@ -938,7 +499,7 @@ pub struct StreamingDetector {
 
 #[derive(Debug, Clone)]
 enum Inner {
-    Holder(Box<StreamingHolderDimension>),
+    Holder(Box<HolderDimensionDetector>),
     Trend(Box<StreamingTrend>),
     Spectrum(Box<StreamingSpectrumWidth>),
 }
@@ -952,7 +513,7 @@ impl StreamingDetector {
     pub fn new(spec: &DetectorSpec) -> Result<Self> {
         let inner = match spec {
             DetectorSpec::Holder(cfg) => {
-                Inner::Holder(Box::new(StreamingHolderDimension::new(cfg.clone())?))
+                Inner::Holder(Box::new(HolderDimensionDetector::new(cfg.clone())?))
             }
             DetectorSpec::Trend(cfg) => Inner::Trend(Box::new(StreamingTrend::new(cfg.clone())?)),
             DetectorSpec::Spectrum(cfg) => {
@@ -1015,55 +576,26 @@ impl StreamingDetector {
         out: &mut Vec<(usize, StreamAlert)>,
     ) -> Result<()> {
         out.clear();
-        match &mut self.inner {
-            Inner::Holder(det) => {
-                for (k, &value) in values.iter().enumerate() {
-                    if let Some(alert) = det.push(value)? {
-                        out.push((
-                            k,
-                            StreamAlert {
-                                sample_index: alert.sample_index as u64,
-                                level: alert.level,
-                                detail: AlertDetail::Holder(alert),
-                            },
-                        ));
-                    }
-                }
-                Ok(())
+        if let Inner::Trend(det) = &mut self.inner {
+            let count_before = det.count;
+            if let Some((k, eta_secs)) = det.push_slice(values)? {
+                out.push((
+                    k,
+                    StreamAlert {
+                        sample_index: count_before + k as u64,
+                        level: AlertLevel::Alarm,
+                        detail: AlertDetail::Trend { eta_secs },
+                    },
+                ));
             }
-            Inner::Trend(det) => {
-                let count_before = det.count;
-                if let Some((k, eta_secs)) = det.push_slice(values)? {
-                    out.push((
-                        k,
-                        StreamAlert {
-                            sample_index: count_before + k as u64,
-                            level: AlertLevel::Alarm,
-                            detail: AlertDetail::Trend { eta_secs },
-                        },
-                    ));
-                }
-                Ok(())
-            }
-            Inner::Spectrum(det) => {
-                for (k, &value) in values.iter().enumerate() {
-                    if let Some(alert) = det.push(value)? {
-                        out.push((
-                            k,
-                            StreamAlert {
-                                sample_index: alert.sample_index,
-                                level: alert.level,
-                                detail: AlertDetail::Spectrum {
-                                    delta_alpha: alert.delta_alpha,
-                                    baseline_width: alert.baseline_width,
-                                },
-                            },
-                        ));
-                    }
-                }
-                Ok(())
+            return Ok(());
+        }
+        for (k, &value) in values.iter().enumerate() {
+            if let Some(alert) = self.push(value)? {
+                out.push((k, alert));
             }
         }
+        Ok(())
     }
 
     /// Whether this is the trend (Mann–Kendall/Sen) family. The columnar
@@ -1155,7 +687,7 @@ impl StreamingDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aging_core::detector::HolderDimensionDetector;
+    use aging_core::detector::analyze;
 
     fn tiny_config() -> DetectorConfig {
         DetectorConfig {
@@ -1190,23 +722,25 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_batch_alert_for_alert() {
-        let signal = degrading_signal(1400);
-        let mut batch = HolderDimensionDetector::new(tiny_config()).unwrap();
-        let mut streaming = StreamingHolderDimension::new(tiny_config()).unwrap();
-        for &v in &signal {
-            let b = batch.push(v).unwrap();
-            let s = streaming.push(v).unwrap();
-            assert_eq!(b, s, "divergence at sample {}", streaming.samples_seen());
-        }
-        assert_eq!(batch.is_alarmed(), streaming.is_alarmed());
-        assert_eq!(batch.baseline(), streaming.baseline());
-    }
-
-    #[test]
-    fn memory_stays_bounded() {
+    fn holder_wrapper_matches_offline_analysis_in_bounded_memory() {
         let cfg = tiny_config();
-        let det = StreamingHolderDimension::new(cfg.clone()).unwrap();
+        let signal = degrading_signal(1400);
+        let offline = analyze(&signal, &cfg).unwrap();
+        let mut det = StreamingDetector::new(&DetectorSpec::Holder(cfg.clone())).unwrap();
+        let mut streamed = Vec::new();
+        for &v in &signal {
+            if let Some(alert) = det.push(v).unwrap() {
+                let AlertDetail::Holder(a) = alert.detail else {
+                    panic!("holder spec must yield holder alerts");
+                };
+                assert_eq!(
+                    (alert.sample_index, alert.level),
+                    (a.sample_index as u64, a.level)
+                );
+                streamed.push(a);
+            }
+        }
+        assert_eq!(streamed, offline.alerts);
         let bound = det.memory_bound_samples();
         assert_eq!(
             bound,

@@ -19,9 +19,12 @@
 //!    the per-source [`gate::SampleGate`] that repairs real-world defects
 //!    (NaN, out-of-order timestamps, gaps) with documented policies.
 //! 3. **Detection** ([`detector`]): [`detector::StreamingDetector`] — the
-//!    paper's Hölder-dimension detector and the Mann–Kendall baseline as
-//!    bounded-memory online detectors, alarm-for-alarm identical to the
-//!    batch [`aging_core::detector::HolderDimensionDetector`].
+//!    paper's Hölder-dimension detector, the Δα spectrum-width detector
+//!    and the Mann–Kendall baseline as bounded-memory online detectors.
+//!    The Hölder family *is*
+//!    [`aging_core::detector::HolderDimensionDetector`], the type the
+//!    offline analysis runs with its trace recorder on, so online and
+//!    offline alarms agree because both run the same code.
 //! 4. **Fleet supervision & observability** ([`supervisor`],
 //!    [`telemetry`]): a thread-per-shard supervisor multiplexing a fleet
 //!    through streaming detectors with bounded queues and explicit drop

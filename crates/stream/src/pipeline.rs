@@ -213,12 +213,11 @@ impl MachinePipeline {
     /// machine's real monitor clock, which may differ from
     /// `sample.time_secs` when a perturber corrupted the sample.
     ///
-    /// **Deprecated in favor of the unified ingestion surface** — new
-    /// code should go through [`MachinePipeline::ingest`] (which infers
-    /// tick boundaries) or [`MachinePipeline::ingest_column`] for whole
-    /// columns; this low-level single-stream entry stays (not removed)
-    /// for callers that manage tick boundaries themselves, like the
-    /// supervisor's shard loop.
+    /// This is the single-stream primitive under the ingestion surface:
+    /// [`MachinePipeline::ingest`] calls it after inferring tick
+    /// boundaries, and callers that manage tick boundaries themselves,
+    /// like the supervisor's shard loop, call it directly. Whole columns
+    /// go through [`MachinePipeline::ingest_column`].
     pub fn push_record(
         &mut self,
         stream: usize,

@@ -1,8 +1,9 @@
 //! End-to-end parity: the streaming detector must emit the *same alert
-//! sequence at the same sample times* as the batch
-//! [`HolderDimensionDetector`] on an identical aging trace — including
-//! when the samples arrive through the full ingestion path (CSV replay →
-//! defect gate → detector).
+//! sequence at the same sample times* as the offline
+//! [`analyze`] run on an identical aging trace when the samples arrive
+//! through the full ingestion path (CSV replay → defect gate → detector).
+//! Both sides run the same `HolderDimensionDetector`, so what this guards
+//! is the ingestion path and the wrapper's alert mapping.
 //!
 //! The trace is the benchmark suite's "machine A" (E3) scenario: an
 //! NT4-class workstation running the web-server mix with an injected

@@ -7,7 +7,7 @@
 
 use aging_timeseries::{Error, Result};
 
-/// An orthogonal wavelet family usable by the DWT, MODWT and leader
+/// An orthogonal wavelet family usable by the DWT and leader
 /// machinery.
 ///
 /// `DaubechiesN` denotes the filter with `N` taps (i.e. `N/2` vanishing

@@ -8,8 +8,6 @@
 //!
 //! - [`Wavelet`] — orthogonal filter banks (Haar, Daubechies 4–12 taps),
 //! - [`mod@dwt`] — decimated multi-level DWT with periodic extension,
-//! - [`mod@modwt`] — maximal-overlap (undecimated, shift-invariant) transform
-//!   for arbitrary-length monitor logs,
 //! - [`cwt`](crate::cwt::cwt) — continuous transform (Mexican hat / real
 //!   Morlet) for modulus-maxima inspection,
 //! - [`WaveletLeaders`] — wavelet leaders, the basis of local Hölder and
@@ -37,10 +35,7 @@ pub mod denoise;
 pub mod dwt;
 pub mod filters;
 pub mod leaders;
-pub mod modwt;
-pub mod variance;
 
 pub use dwt::{dwt, Decomposition};
 pub use filters::Wavelet;
 pub use leaders::WaveletLeaders;
-pub use modwt::{modwt, ModwtDecomposition};

@@ -16,7 +16,7 @@
 //! |---|---|---|
 //! | [`timeseries`] | `aging-timeseries` | series container, statistics, trend tests |
 //! | [`par`] | `aging-par` | deterministic chunked scoped-thread parallelism |
-//! | [`wavelet`] | `aging-wavelet` | DWT / MODWT / CWT / wavelet leaders |
+//! | [`wavelet`] | `aging-wavelet` | DWT / CWT / wavelet leaders |
 //! | [`fractal`] | `aging-fractal` | generators, Hölder, Hurst, dimensions, spectra |
 //! | [`memsim`] | `aging-memsim` | the simulated testbed (machines, workloads, faults) |
 //! | [`core`] | `aging-core` | the detector, baselines, evaluation, rejuvenation |
@@ -116,5 +116,5 @@ pub mod prelude {
         SpectrumDetectorConfig, StreamingDetector,
     };
     pub use aging_timeseries::{trend::MannKendall, trend::SenSlope, Error, Result, TimeSeries};
-    pub use aging_wavelet::{dwt, modwt, Wavelet, WaveletLeaders};
+    pub use aging_wavelet::{dwt, Wavelet, WaveletLeaders};
 }
