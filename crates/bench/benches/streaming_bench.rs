@@ -8,8 +8,10 @@
 //! well over an order of magnitude (the `streaming-throughput` test in
 //! this file's sibling experiment, `repro e11`, asserts the ≥10× floor).
 
+use aging_core::baseline::TrendPredictorConfig;
 use aging_core::detector::{DetectorConfig, HolderDimensionDetector};
 use aging_memsim::{simulate, Counter, Scenario};
+use aging_stream::detector::StreamingTrend;
 use aging_timeseries::trend::{MannKendall, StreamingMannKendall};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -98,9 +100,42 @@ fn bench_streaming_mann_kendall(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_trend_refit(c: &mut Criterion) {
+    // The served trend configuration over a steadily draining counter:
+    // the decline is significant at nearly every refit, so each eighth
+    // sample pays the Mann–Kendall statistic plus the Sen-slope fit.
+    let n = 1560;
+    let values: Vec<f64> = (0..n)
+        .map(|i| {
+            let jitter = ((i * 2_654_435_761usize) % 1009) as f64 * 64.0;
+            2e9 - 40_000.0 * i as f64 + jitter
+        })
+        .collect();
+    let config = TrendPredictorConfig {
+        window: 120,
+        refit_every: 8,
+        alarm_horizon_secs: 900.0,
+        ..TrendPredictorConfig::depleting(30.0)
+    };
+
+    let mut group = c.benchmark_group("streaming/trend-refit-120");
+    group.throughput(Throughput::Elements(n as u64));
+    group.bench_function("push", |b| {
+        b.iter(|| {
+            let mut det = StreamingTrend::new(config.clone()).unwrap();
+            for &v in &values {
+                let _ = det.push(std::hint::black_box(v)).unwrap();
+            }
+            det.eta_secs()
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_streaming_vs_rescratch,
-    bench_streaming_mann_kendall
+    bench_streaming_mann_kendall,
+    bench_trend_refit
 );
 criterion_main!(benches);

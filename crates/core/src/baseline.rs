@@ -227,7 +227,11 @@ impl AgingPredictor for SenSlopePredictor {
             self.state.eta = None;
             return Ok(false);
         }
-        let sen = match SenSlope::estimate(&self.state.buffer, cfg.sample_period_secs) {
+        let sen = match SenSlope::line_with(
+            &self.state.buffer,
+            cfg.sample_period_secs,
+            &mut Vec::new(),
+        ) {
             Ok(s) => s,
             Err(_) => return Ok(false),
         };

@@ -9,8 +9,12 @@
 //! share one warmup → baseline → confirm → latch implementation.
 //!
 //! [`StreamingTrend`] is the classical Mann–Kendall + Sen baseline in the
-//! same bounded-memory shape, with the O(window²) S-statistic recomputation
-//! replaced by [`StreamingMannKendall`]'s O(window) slide.
+//! same bounded-memory shape. [`StreamingMannKendall`] slides S and the
+//! tied-pair count in O(window) instead of recomputing them, so a refit on
+//! a tie-free window takes the variance without a sort; only a significant
+//! refit fits Sen's line, through the line-only
+//! [`StreamingMannKendall::sen_line_with`] and its bracketed median
+//! selection.
 
 use aging_core::baseline::{ResourceDirection, TrendPredictorConfig};
 use aging_core::detector::{
@@ -89,9 +93,9 @@ pub struct StreamingTrend {
     count: u64,
     eta: Option<f64>,
     alarmed: bool,
-    // Refit scratch (tie sort, window copy, pairwise slopes). Transient:
-    // cleared-and-refilled per refit, deliberately absent from
-    // `encode_state` — contents never outlive one `push`.
+    // Refit scratch (tie sort, window copy, pairwise slopes and the data
+    // median). Transient: cleared-and-refilled per refit, deliberately
+    // absent from `encode_state` — contents never outlive one `push`.
     scratch_sorted: Vec<f64>,
     scratch_window: Vec<f64>,
     scratch_slopes: Vec<f64>,
@@ -142,7 +146,7 @@ impl StreamingTrend {
             self.eta = None;
             return Ok(false);
         }
-        let Ok(sen) = self.mk.sen_slope_with(
+        let Ok(sen) = self.mk.sen_line_with(
             cfg.sample_period_secs,
             &mut self.scratch_window,
             &mut self.scratch_slopes,

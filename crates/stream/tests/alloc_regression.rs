@@ -4,9 +4,9 @@
 //! warmup that establishes every ring, scratch buffer, and refit arena,
 //! the hot loops below must perform **zero** heap allocations:
 //!
-//! - `MachinePipeline::ingest_column` on a trend-family detector (the
-//!   e14 columnar serving path), including the per-sample Sen-slope
-//!   refits,
+//! - `MachinePipeline::ingest_column` on the served trend detector
+//!   (window 120, refit 8) over a significant decline, so every refit
+//!   runs both the Mann–Kendall statistic and the Sen-slope fit,
 //! - `StreamingHolder::push` including emissions,
 //! - `StreamingDimension::push` (both window methods) including
 //!   emissions,
@@ -28,6 +28,7 @@ use aging_fractal::spectrum::{SpectrumConfig, StreamingSpectrum};
 use aging_fractal::streaming::{StreamingDimension, StreamingHolder, WindowDimension};
 use aging_memsim::Counter;
 use aging_par::Pool;
+use aging_stream::detector::StreamingTrend;
 use aging_stream::pipeline::{CounterDetector, MachinePipeline, PipelineEvent};
 use aging_stream::{DetectorSpec, GateConfig};
 
@@ -102,17 +103,20 @@ fn noise(n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// e14-style trend pipeline: columnar steady-state ingest must not
-/// allocate once the gate runs, refit arena and event vec are warm.
+/// Served trend pipeline (window 120, refit 8): columnar steady-state
+/// ingest must not allocate once the gate runs, refit arena and event vec
+/// are warm — including the Sen-slope refits that a significant decline
+/// triggers on every refit boundary.
 fn trend_pipeline_stays_allocation_free() {
+    let config = TrendPredictorConfig {
+        window: 120,
+        refit_every: 8,
+        alarm_horizon_secs: 900.0,
+        ..TrendPredictorConfig::depleting(5.0)
+    };
     let detectors = [CounterDetector {
         counter: Counter::AvailableBytes,
-        spec: DetectorSpec::Trend(TrendPredictorConfig {
-            window: 64,
-            refit_every: 4,
-            alarm_horizon_secs: 1e6,
-            ..TrendPredictorConfig::depleting(5.0)
-        }),
+        spec: DetectorSpec::Trend(config.clone()),
     }];
     let gate = GateConfig {
         nominal_period_secs: 5.0,
@@ -121,20 +125,30 @@ fn trend_pipeline_stays_allocation_free() {
     let mut pipeline = MachinePipeline::new(&detectors, FusionRule::Any, gate).unwrap();
     let mut out: Vec<PipelineEvent> = Vec::with_capacity(64);
 
-    // Growing AvailableBytes never extrapolates to exhaustion, so no
-    // alert is ever pushed into `out`.
+    // AvailableBytes drains 1000 B per 5 s sample under ±20 kB of jitter:
+    // Mann–Kendall finds the decline significant on every refit, so each
+    // refit runs the Sen fit, but exhaustion stays ~5·10⁶ s away — far
+    // beyond the 900 s horizon — so no alert is ever pushed into `out`.
     let column = |start: usize| -> (Vec<f64>, Vec<f64>) {
         let times = (0..64).map(|k| 5.0 * (start + k) as f64).collect();
-        let values = (0..64).map(|k| 1e9 + (start + k) as f64).collect();
+        let values = (0..64)
+            .map(|k| {
+                let i = start + k;
+                let jitter = (i.wrapping_mul(2_654_435_761) % 1001) as f64 * 40.0 - 20_000.0;
+                1e9 - 1000.0 * i as f64 + jitter
+            })
+            .collect();
         (times, values)
     };
 
-    // Warmup: fill the 64-sample window and run many refits (every 4
+    // Warmup: fill the 120-sample window and run many refits (every 8
     // samples), sizing the Sen-slope arena and the column scratch.
     let mut fed = 0usize;
+    let mut twin = StreamingTrend::new(config).unwrap();
     for _ in 0..16 {
         let (times, values) = column(fed);
         pipeline.ingest_column(Counter::AvailableBytes, &times, &values, &mut out);
+        twin.push_slice(&values).unwrap();
         fed += 64;
     }
 
@@ -149,6 +163,25 @@ fn trend_pipeline_stays_allocation_free() {
         "steady-state ingest_column allocated {delta} times"
     );
     assert!(out.is_empty(), "unexpected pipeline events: {out:?}");
+
+    // The Sen path ran: a twin detector fed the same values holds an ETA
+    // (set only by a Sen fit after a significant test), and the
+    // pipeline's detector state is byte-for-byte the twin's.
+    for (_, values) in &measured {
+        twin.push_slice(values).unwrap();
+    }
+    let eta = twin
+        .eta_secs()
+        .expect("significant decline runs the Sen fit");
+    assert!(eta > 900.0 && !twin.is_alarmed(), "eta {eta} s");
+    let mut want = Vec::new();
+    twin.encode_state(&mut want);
+    let mut state = Vec::new();
+    pipeline.encode_state(&mut state);
+    assert!(
+        state.windows(want.len()).any(|w| w == want),
+        "pipeline trend state diverged from the twin detector"
+    );
 }
 
 /// Streaming Hölder pushes — including per-push emissions once the ring

@@ -1,8 +1,9 @@
 //! Pins the detector snapshot format: the exact
 //! [`StreamingDetector::encode_state`] bytes of a Hölder and a spectrum
 //! detector at three points of their life — mid-warmup, mid-baseline and
-//! after the alarm latched — are committed in
-//! `tests/fixtures/detector_snapshots.txt`. Snapshots and journals already
+//! after the alarm latched — and of a Mann–Kendall + Sen trend detector
+//! mid-fill, on a significant trend and after the alarm latched, are
+//! committed in `tests/fixtures/detector_snapshots.txt`. Snapshots and journals already
 //! on disk embed these bytes, so a layout change must fail here instead
 //! of surfacing as an unrestorable store.
 //!
@@ -19,9 +20,12 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use aging_core::baseline::TrendPredictorConfig;
 use aging_core::detector::DetectorConfig;
 use aging_fractal::spectrum::SpectrumConfig;
-use aging_stream::detector::{DetectorSpec, SpectrumDetectorConfig, StreamingDetector};
+use aging_stream::detector::{
+    DetectorSpec, SpectrumDetectorConfig, StreamingDetector, StreamingTrend,
+};
 use aging_timeseries::persist::Reader;
 
 const FIXTURE: &str = "detector_snapshots.txt";
@@ -55,6 +59,16 @@ fn spectrum_spec() -> DetectorSpec {
         width_delta: 0.2,
         mad_multiplier: 4.0,
         confirm_windows: 2,
+    })
+}
+
+/// The served trend configuration: 120-sample window, refit every 8.
+fn trend_spec() -> DetectorSpec {
+    DetectorSpec::Trend(TrendPredictorConfig {
+        window: 120,
+        refit_every: 8,
+        alarm_horizon_secs: 900.0,
+        ..TrendPredictorConfig::depleting(5.0)
     })
 }
 
@@ -100,10 +114,23 @@ fn spectrum_signal() -> Vec<f64> {
         .collect()
 }
 
+/// Free memory draining toward zero at sample ~900, noisy and quantised to
+/// 1 KiB pages so windows carry tied values.
+fn trend_signal() -> Vec<f64> {
+    let mut rand = xorshift(0x2545_f491_4f6c_dd1d);
+    (0..1200)
+        .map(|i| {
+            let level = 9e5 - 1000.0 * i as f64 + (rand() - 0.5) * 8000.0;
+            (level / 1024.0).round() * 1024.0
+        })
+        .collect()
+}
+
 fn family(name: &str) -> (DetectorSpec, Vec<f64>) {
     match name {
         "holder" => (holder_spec(), holder_signal()),
         "spectrum" => (spectrum_spec(), spectrum_signal()),
+        "trend" => (trend_spec(), trend_signal()),
         other => panic!("unknown detector family {other:?} in fixture"),
     }
 }
@@ -162,7 +189,7 @@ fn read_rows() -> Vec<Row> {
 #[test]
 fn encode_state_bytes_match_the_committed_snapshots() {
     let rows = read_rows();
-    assert_eq!(rows.len(), 6, "two families × three life stages");
+    assert_eq!(rows.len(), 9, "three families × three life stages");
     for row in &rows {
         let (spec, signal) = family(&row.family);
         let mut det = StreamingDetector::new(&spec).unwrap();
@@ -243,15 +270,24 @@ fn regenerate() {
     // 180 holds four of the eight baseline windows.
     // Spectrum (window 128, stride 32, skip 2, baseline 4): emissions at
     // 128, 160, 192, …; 140 sits in the skip phase, 240 holds two of four.
-    for (name, warmup, baseline) in [("holder", 100, 180), ("spectrum", 140, 240)] {
+    // Trend (window 120, refit 8): 60 is mid-fill; at 400 the last refit
+    // found a significant decline with an ETA beyond the 900 s horizon.
+    for (name, early, middle) in [
+        ("holder", ("warmup", 100), ("baseline", 180)),
+        ("spectrum", ("warmup", 140), ("baseline", 240)),
+        ("trend", ("filling", 60), ("trending", 400)),
+    ] {
         let (spec, signal) = family(name);
         let alarmed = alarm_latch_point(&spec, &signal) + 40;
         assert!(alarmed < signal.len(), "alarm too late to resume after");
-        for (stage, fed) in [
-            ("warmup", warmup),
-            ("baseline", baseline),
-            ("alarmed", alarmed),
-        ] {
+        if let DetectorSpec::Trend(cfg) = &spec {
+            let mut trend = StreamingTrend::new(cfg.clone()).unwrap();
+            for &v in &signal[..middle.1] {
+                trend.push(v).unwrap();
+            }
+            assert!(trend.eta_secs().is_some() && !trend.is_alarmed());
+        }
+        for (stage, fed) in [early, middle, ("alarmed", alarmed)] {
             let mut det = StreamingDetector::new(&spec).unwrap();
             for &v in &signal[..fed] {
                 det.push(v).unwrap();

@@ -222,132 +222,19 @@ pub struct SenSlope {
     pub upper_95: f64,
 }
 
-impl SenSlope {
-    /// Estimates Sen's slope of `data` sampled every `dt` time units.
-    ///
-    /// Uses all `O(n²)` pairs up to 1500 samples, a deterministic strided
-    /// subsample beyond.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::TooShort`] with fewer than two samples,
-    /// [`Error::InvalidParameter`] for non-positive `dt`, and
-    /// [`Error::NonFinite`] for NaN/infinite input.
-    pub fn estimate(data: &[f64], dt: f64) -> Result<Self> {
-        SenSlope::estimate_with(data, dt, &mut Vec::new())
-    }
+/// The fitted Sen line alone — slope and intercept, no confidence
+/// interval. This is all an exhaustion extrapolation reads, and it skips
+/// the two selections the interval bounds cost.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SenLine {
+    /// Median pairwise slope, per unit time.
+    pub slope: f64,
+    /// Intercept `median(x) - slope * median(t)` anchored at the first
+    /// sample's time 0.
+    pub intercept: f64,
+}
 
-    /// [`SenSlope::estimate`] with a caller-owned scratch buffer for the
-    /// pairwise slopes — the allocation-free form streaming refit loops
-    /// call once per detection stride.
-    ///
-    /// Only the order statistics of the slope population are needed, so
-    /// the slopes are *selected*, not sorted: the median and both
-    /// confidence bounds are the same values a full sort would produce
-    /// (an order statistic is a property of the multiset), at O(pairs)
-    /// instead of O(pairs·log pairs). Results are bit-identical to
-    /// [`SenSlope::estimate`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SenSlope::estimate`].
-    pub fn estimate_with(data: &[f64], dt: f64, slopes: &mut Vec<f64>) -> Result<Self> {
-        Error::require_len(data, 2)?;
-        Error::require_finite(data)?;
-        if !dt.is_finite() || dt <= 0.0 {
-            return Err(Error::invalid("dt", "must be finite and positive"));
-        }
-        let n = data.len();
-        let stride = if n > crate::regression::THEIL_SEN_EXACT_LIMIT {
-            n / crate::regression::THEIL_SEN_EXACT_LIMIT + 1
-        } else {
-            1
-        };
-        slopes.clear();
-        let mut i = 0;
-        while i < n {
-            let mut j = i + stride;
-            while j < n {
-                slopes.push((data[j] - data[i]) / ((j - i) as f64 * dt));
-                j += stride;
-            }
-            i += stride;
-        }
-        if slopes.is_empty() {
-            return Err(Error::TooShort {
-                required: 2,
-                actual: n,
-            });
-        }
-        let m = slopes.len();
-
-        // Normal-approximation confidence interval on the rank of the slope
-        // (Gilbert 1987). With subsampling this is approximate. The ranks
-        // depend only on `n`/`m`, so they are known before any selection.
-        let nf = n as f64;
-        let var_s = nf * (nf - 1.0) * (2.0 * nf + 5.0) / 18.0;
-        let c = 1.96 * var_s.sqrt();
-        let lo_rank = (((m as f64 - c) / 2.0).floor().max(0.0)) as usize;
-        let hi_rank = ((((m as f64 + c) / 2.0).ceil()) as usize).min(m - 1);
-
-        // Every rank the estimate reads, ascending and deduplicated.
-        let mut ranks = [lo_rank, hi_rank, m / 2, usize::MAX];
-        let mut n_ranks = 3;
-        if m.is_multiple_of(2) {
-            ranks[3] = m / 2 - 1;
-            n_ranks = 4;
-        }
-        let ranks = &mut ranks[..n_ranks];
-        ranks.sort_unstable();
-        let mut picked = [0.0f64; 4];
-        let mut base = 0usize;
-        let mut prev: Option<usize> = None;
-        for (slot, &rank) in ranks.iter().enumerate() {
-            if prev == Some(rank) {
-                picked[slot] = picked[slot - 1];
-                continue;
-            }
-            let (_, &mut v, _) = slopes[base..].select_nth_unstable_by(rank - base, |a, b| {
-                a.partial_cmp(b).expect("finite values compare")
-            });
-            picked[slot] = v;
-            base = rank + 1;
-            prev = Some(rank);
-        }
-        let at = |rank: usize| picked[ranks.iter().position(|&r| r == rank).expect("selected")];
-
-        let slope = if m % 2 == 1 {
-            at(m / 2)
-        } else {
-            0.5 * (at(m / 2 - 1) + at(m / 2))
-        };
-        let lower_95 = at(lo_rank);
-        let upper_95 = at(hi_rank);
-
-        // This runs on the per-sample trend-refit path, so the two medians
-        // must not allocate. The time axis 0·dt, 1·dt, … is already sorted,
-        // so its type-7 median is closed-form; the data median reuses
-        // `slopes` (done with the rank selections above) as sort scratch.
-        // Both replicate [`crate::stats::quantile`]'s arithmetic exactly,
-        // keeping the intercept bit-identical.
-        let pos = 0.5 * (n - 1) as f64;
-        let t_lo = pos.floor() as usize;
-        let t_hi = pos.ceil() as usize;
-        let frac = pos - t_lo as f64;
-        let time_median = (t_lo as f64 * dt) * (1.0 - frac) + (t_hi as f64 * dt) * frac;
-        slopes.clear();
-        slopes.extend_from_slice(data);
-        slopes.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-        let data_median = slopes[t_lo] * (1.0 - frac) + slopes[t_hi] * frac;
-        let intercept = data_median - slope * time_median;
-        Ok(SenSlope {
-            slope,
-            intercept,
-            lower_95,
-            upper_95,
-        })
-    }
-
+impl SenLine {
     /// Predicted level at time `t` (measured from the first sample).
     pub fn predict(&self, t: f64) -> f64 {
         self.intercept + self.slope * t
@@ -366,6 +253,268 @@ impl SenSlope {
         } else {
             None
         }
+    }
+}
+
+/// Pair count from which the Sen selections bracket their ranks with a
+/// pilot sample first; below it a plain selection is cheaper.
+const BRACKET_MIN_PAIRS: usize = 4096;
+
+/// Slopes in the deterministic strided pilot sample that places the
+/// bracket.
+const PILOT: usize = 256;
+
+/// Pilot positions the bracket extends beyond the wanted ranks' pilot
+/// quantiles on each side. Near the median, a pilot order statistic's
+/// rank in the whole population spreads by about `m / (2·√PILOT)`, which
+/// is `√PILOT / 2` = 8 pilot positions; 20 is two and a half of those. On
+/// 120-sample windows with a significant decline this keeps about a sixth
+/// of the slopes for a line fit; it missed 1 of 3758 such windows drawn
+/// from simulated counters and noisy synthetic trends (none of the 870
+/// simulated ones).
+const PILOT_MARGIN: usize = 20;
+
+impl SenSlope {
+    /// Estimates Sen's slope of `data` sampled every `dt` time units.
+    ///
+    /// Uses all `O(n²)` pairs up to 1500 samples, a deterministic strided
+    /// subsample beyond.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::TooShort`] with fewer than two samples,
+    /// [`Error::InvalidParameter`] for non-positive `dt`, and
+    /// [`Error::NonFinite`] for NaN/infinite input.
+    pub fn estimate(data: &[f64], dt: f64) -> Result<Self> {
+        SenSlope::estimate_with(data, dt, &mut Vec::new())
+    }
+
+    /// [`SenSlope::estimate`] with a caller-owned scratch buffer for the
+    /// pairwise slopes — the allocation-free form refit loops call.
+    ///
+    /// Only order statistics are needed, so nothing is sorted: the median
+    /// slope, both confidence bounds and the data median are *selected*
+    /// (an order statistic is a property of the multiset, so the values
+    /// equal a full sort's). Above a few thousand pairs a strided pilot
+    /// sample first brackets the wanted ranks and one pass keeps only the
+    /// slopes inside the bracket for the selections; when the pilot
+    /// misjudges, the slopes are regenerated and selected unbracketed.
+    /// Results are bit-identical to [`SenSlope::estimate`]. Callers that
+    /// need only the line use the cheaper [`SenSlope::line_with`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SenSlope::estimate`].
+    pub fn estimate_with(data: &[f64], dt: f64, slopes: &mut Vec<f64>) -> Result<Self> {
+        let (stride, m) = sen_pairs(data, dt)?;
+        // Normal-approximation confidence interval on the rank of the slope
+        // (Gilbert 1987). With subsampling this is approximate.
+        let nf = data.len() as f64;
+        let var_s = nf * (nf - 1.0) * (2.0 * nf + 5.0) / 18.0;
+        let c = 1.96 * var_s.sqrt();
+        let lo_rank = (((m as f64 - c) / 2.0).floor().max(0.0)) as usize;
+        let hi_rank = ((((m as f64 + c) / 2.0).ceil()) as usize).min(m - 1);
+
+        let mut picked = [0.0f64; 4];
+        let ranks = [lo_rank, (m - 1) / 2, m / 2, hi_rank];
+        select_slopes(data, dt, stride, slopes, &ranks, &mut picked);
+        let line = sen_line(data, dt, m, [picked[1], picked[2]], slopes);
+        Ok(SenSlope {
+            slope: line.slope,
+            intercept: line.intercept,
+            lower_95: picked[0],
+            upper_95: picked[3],
+        })
+    }
+
+    /// Sen's line (slope and intercept, no confidence interval) of `data`
+    /// sampled every `dt` time units, with a caller-owned scratch buffer.
+    ///
+    /// Selects only the median rank(s), so it is cheaper than
+    /// [`SenSlope::estimate_with`]; its slope and intercept are
+    /// bit-identical to that method's.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SenSlope::estimate`].
+    pub fn line_with(data: &[f64], dt: f64, slopes: &mut Vec<f64>) -> Result<SenLine> {
+        let (stride, m) = sen_pairs(data, dt)?;
+        let mut picked = [0.0f64; 2];
+        select_slopes(data, dt, stride, slopes, &[(m - 1) / 2, m / 2], &mut picked);
+        Ok(sen_line(data, dt, m, picked, slopes))
+    }
+
+    fn line(&self) -> SenLine {
+        SenLine {
+            slope: self.slope,
+            intercept: self.intercept,
+        }
+    }
+
+    /// Predicted level at time `t` (measured from the first sample).
+    pub fn predict(&self, t: f64) -> f64 {
+        self.line().predict(t)
+    }
+
+    /// Time (from the first sample) at which the fitted line crosses
+    /// `level`, or `None` when the slope is zero or the crossing lies in the
+    /// past.
+    pub fn time_to_level(&self, level: f64) -> Option<f64> {
+        self.line().time_to_level(level)
+    }
+}
+
+/// Validates Sen input and returns the sample stride (1 up to
+/// [`crate::regression::THEIL_SEN_EXACT_LIMIT`] samples) and the number
+/// of slopes that stride yields.
+fn sen_pairs(data: &[f64], dt: f64) -> Result<(usize, usize)> {
+    Error::require_len(data, 2)?;
+    Error::require_finite(data)?;
+    if !dt.is_finite() || dt <= 0.0 {
+        return Err(Error::invalid("dt", "must be finite and positive"));
+    }
+    let n = data.len();
+    let stride = if n > crate::regression::THEIL_SEN_EXACT_LIMIT {
+        n / crate::regression::THEIL_SEN_EXACT_LIMIT + 1
+    } else {
+        1
+    };
+    let points = n.div_ceil(stride);
+    Ok((stride, points * (points - 1) / 2))
+}
+
+/// The Sen line from the median-rank slopes `mid` (ranks `(m-1)/2` and
+/// `m/2` of `m`); `scratch` is clobbered by the data-median selection.
+///
+/// The time axis 0·dt, 1·dt, … is already sorted, so its type-7 median is
+/// closed-form; the data median is two selections. Both replicate
+/// [`crate::stats::quantile`]'s arithmetic exactly, keeping the intercept
+/// bit-identical to a sort-based fit.
+fn sen_line(data: &[f64], dt: f64, m: usize, mid: [f64; 2], scratch: &mut Vec<f64>) -> SenLine {
+    let slope = if m % 2 == 1 {
+        mid[1]
+    } else {
+        0.5 * (mid[0] + mid[1])
+    };
+    let n = data.len();
+    let pos = 0.5 * (n - 1) as f64;
+    let t_lo = pos.floor() as usize;
+    let t_hi = pos.ceil() as usize;
+    let frac = pos - t_lo as f64;
+    let time_median = (t_lo as f64 * dt) * (1.0 - frac) + (t_hi as f64 * dt) * frac;
+    scratch.clear();
+    scratch.extend_from_slice(data);
+    let mut med = [0.0f64; 2];
+    select_ranks(scratch, &[t_lo, t_hi], 0, &mut med);
+    let data_median = med[0] * (1.0 - frac) + med[1] * frac;
+    SenLine {
+        slope,
+        intercept: data_median - slope * time_median,
+    }
+}
+
+/// Writes the pairwise slopes of every `stride`-th sample of `data` to
+/// `slopes` (cleared first), row-major: each sample against every later
+/// one. Each slope is `(x_j - x_i) / ((j - i)·dt)` with the lag's divisor
+/// in exactly that form, so every slope has the bits of the textbook
+/// double loop.
+fn pairwise_slopes(data: &[f64], dt: f64, stride: usize, slopes: &mut Vec<f64>) {
+    slopes.clear();
+    for (i, &xi) in data.iter().enumerate().step_by(stride) {
+        if stride == 1 {
+            // Contiguous rows: an exact-length extend, about 3× faster
+            // than the strided walk below on 120-sample windows.
+            let row = data[i + 1..].iter().enumerate();
+            slopes.extend(row.map(|(k, &xj)| (xj - xi) / ((k + 1) as f64 * dt)));
+        } else {
+            let row = data[i..].iter().step_by(stride).enumerate().skip(1);
+            slopes.extend(row.map(|(k, &xj)| (xj - xi) / ((k * stride) as f64 * dt)));
+        }
+    }
+}
+
+/// Selects the ascending `ranks` of the pairwise slopes of `data` into
+/// `out` — the one slope selection both Sen fits share.
+///
+/// Small populations are selected directly. From [`BRACKET_MIN_PAIRS`] on,
+/// [`bracket`] first narrows `slopes` to the ones around the wanted ranks;
+/// on a miss the slopes are generated again and selected unbracketed.
+/// Either way each `out` value is the slope population's order statistic.
+fn select_slopes(
+    data: &[f64],
+    dt: f64,
+    stride: usize,
+    slopes: &mut Vec<f64>,
+    ranks: &[usize],
+    out: &mut [f64],
+) {
+    pairwise_slopes(data, dt, stride, slopes);
+    let (first, last) = (ranks[0], ranks[ranks.len() - 1]);
+    if slopes.len() >= BRACKET_MIN_PAIRS {
+        if let Some(below) = bracket(slopes, first, last) {
+            select_ranks(slopes, ranks, below, out);
+            return;
+        }
+        pairwise_slopes(data, dt, stride, slopes);
+    }
+    select_ranks(slopes, ranks, 0, out);
+}
+
+/// Narrows `values` to a value range holding its order statistics of
+/// ranks `first..=last`, using a strided pilot sample to place the range.
+///
+/// One branchless pass counts the values below the range and compacts
+/// the ones inside it to the front, then truncates `values` to them.
+/// Returns the count below — the rank offset of the kept values — or
+/// `None` when the range misses `first` or `last` (`values` is then
+/// clobbered and must be regenerated).
+///
+/// The range is closed, so the kept values are one contiguous run of a
+/// [`f64::total_cmp`] sort of `values` (`-0.0` and `0.0` fall on the same
+/// side of every bound) and a selection inside them at rank `r - below`
+/// is the whole population's rank `r`.
+fn bracket(values: &mut Vec<f64>, first: usize, last: usize) -> Option<usize> {
+    let m = values.len();
+    let mut pilot = [0.0f64; PILOT];
+    for (p, x) in pilot.iter_mut().enumerate() {
+        *x = values[p * m / PILOT];
+    }
+    let p_first = (first * PILOT / m).saturating_sub(PILOT_MARGIN);
+    let p_last = (last * PILOT / m + PILOT_MARGIN).min(PILOT - 1);
+    let mut edges = [0.0f64; 2];
+    select_ranks(&mut pilot, &[p_first, p_last], 0, &mut edges);
+    let [lo, hi] = edges;
+
+    let mut below = 0usize;
+    let mut kept = 0usize;
+    for r in 0..m {
+        let x = values[r];
+        below += usize::from(x < lo);
+        values[kept] = x;
+        kept += usize::from((x >= lo) & (x <= hi));
+    }
+    values.truncate(kept);
+    (below <= first && last < below + kept).then_some(below)
+}
+
+/// Selects the ascending `ranks`, each offset by `offset`, of `values`
+/// into `out` (`out[i]` is the value of rank `ranks[i] - offset`) under
+/// [`f64::total_cmp`], which compares integer total-order keys. On finite
+/// values that order agrees with `partial_cmp` except that it puts `-0.0`
+/// below `0.0` (a tie `partial_cmp` leaves to chance), so each value equals
+/// a sort's. Each selection partitions only the part above the previous
+/// rank; a repeated rank is copied, not selected again.
+fn select_ranks(values: &mut [f64], ranks: &[usize], offset: usize, out: &mut [f64]) {
+    let mut base = 0;
+    for (slot, &rank) in ranks.iter().enumerate() {
+        if slot > 0 && rank == ranks[slot - 1] {
+            out[slot] = out[slot - 1];
+            continue;
+        }
+        let rank = rank - offset;
+        let (_, &mut v, _) = values[base..].select_nth_unstable_by(rank - base, f64::total_cmp);
+        out[slot] = v;
+        base = rank + 1;
     }
 }
 
@@ -402,6 +551,10 @@ impl SenSlope {
 pub struct StreamingMannKendall {
     ring: RingBuffer,
     s: i64,
+    // Number of tied pairs in the window, maintained by the same scans as
+    // `s`; `None` after `restore_state` until a statistic recounts it.
+    // Transient: not part of `encode_state`.
+    ties: Option<u64>,
 }
 
 impl StreamingMannKendall {
@@ -418,6 +571,7 @@ impl StreamingMannKendall {
         Ok(StreamingMannKendall {
             ring: RingBuffer::new(window)?,
             s: 0,
+            ties: Some(0),
         })
     }
 
@@ -453,6 +607,7 @@ impl StreamingMannKendall {
                 index: self.ring.pushed() as usize,
             });
         }
+        let mut ties = 0;
         if self.ring.is_full() {
             // The evictee is the oldest element: every pair it belongs to
             // has it on the earlier side. For finite values `x - oldest > 0`
@@ -462,15 +617,22 @@ impl StreamingMannKendall {
             // the compiler can vectorize over both ring slices.
             let oldest = self.ring.get(0).expect("full ring");
             let (front, tail) = self.ring.as_slices();
-            let mut removed = sign_count(oldest, &front[1..]);
-            removed += sign_count(oldest, tail);
-            self.s -= removed;
+            let (s_front, t_front) = sign_count(oldest, &front[1..]);
+            let (s_tail, t_tail) = sign_count(oldest, tail);
+            self.s -= s_front + s_tail;
+            ties -= t_front + t_tail;
         }
         // The incoming sample compares against every survivor. `front`
         // holds the oldest element, so the eviction skip stays in-bounds.
         let skip = usize::from(self.ring.is_full());
         let (front, tail) = self.ring.as_slices();
-        self.s -= sign_count(value, &front[skip..]) + sign_count(value, tail);
+        let (s_front, t_front) = sign_count(value, &front[skip..]);
+        let (s_tail, t_tail) = sign_count(value, tail);
+        self.s -= s_front + s_tail;
+        ties += t_front + t_tail;
+        if let Some(t) = &mut self.ties {
+            *t = t.wrapping_add_signed(ties);
+        }
         self.ring.push(value);
         Ok(())
     }
@@ -510,32 +672,50 @@ impl StreamingMannKendall {
     ///
     /// Returns [`Error::InvalidParameter`] on truncation or a window
     /// mismatch.
+    ///
+    /// The tied-pair count is not part of the state; the next
+    /// [`StreamingMannKendall::statistic_with`] recounts it.
     pub fn restore_state(&mut self, r: &mut crate::persist::Reader<'_>) -> Result<()> {
         self.ring.restore_state(r)?;
         self.s = r.i64()?;
+        self.ties = None;
         Ok(())
     }
 
     /// The full Mann–Kendall statistic of the current window, identical to
     /// running [`MannKendall::test`] on [`StreamingMannKendall::window`].
-    /// Tie bookkeeping costs one O(window log window) sort.
     ///
     /// # Errors
     ///
     /// Returns [`Error::TooShort`] while the window holds fewer than four
     /// samples.
     pub fn statistic(&self) -> Result<MannKendall> {
-        self.statistic_with(&mut Vec::new())
+        self.mann_kendall(&mut Vec::new()).map(|(mk, _)| mk)
     }
 
     /// [`StreamingMannKendall::statistic`] with a caller-owned scratch
-    /// buffer for the tie-bookkeeping sort — the allocation-free form for
-    /// refit loops. Results are bit-identical to `statistic`.
+    /// buffer for the tie bookkeeping — the allocation-free form for refit
+    /// loops. Results are bit-identical to `statistic`.
+    ///
+    /// The sliding scans count tied pairs alongside S, so a window without
+    /// ties (the common case for raw memory counters) takes the closed-form
+    /// variance with no copy or sort. A window with ties, or one whose tie
+    /// count is unknown after [`StreamingMannKendall::restore_state`],
+    /// pays one O(window log window) sort, which also (re)learns the
+    /// count.
     ///
     /// # Errors
     ///
     /// Same conditions as [`StreamingMannKendall::statistic`].
-    pub fn statistic_with(&self, scratch: &mut Vec<f64>) -> Result<MannKendall> {
+    pub fn statistic_with(&mut self, scratch: &mut Vec<f64>) -> Result<MannKendall> {
+        let (mk, ties) = self.mann_kendall(scratch)?;
+        debug_assert!(self.ties.is_none_or(|t| t == ties), "tie count drifted");
+        self.ties = Some(ties);
+        Ok(mk)
+    }
+
+    /// The statistic and the window's tied-pair count.
+    fn mann_kendall(&self, scratch: &mut Vec<f64>) -> Result<(MannKendall, u64)> {
         let n = self.ring.len();
         if n < 4 {
             return Err(Error::TooShort {
@@ -543,20 +723,24 @@ impl StreamingMannKendall {
                 actual: n,
             });
         }
-        self.ring.copy_to(scratch);
-        let sorted = scratch;
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
         let mut tie_term = 0.0;
-        let mut run = 1usize;
-        for i in 1..=n {
-            if i < n && sorted[i] == sorted[i - 1] {
-                run += 1;
-            } else {
-                if run > 1 {
-                    let t = run as f64;
-                    tie_term += t * (t - 1.0) * (2.0 * t + 5.0);
+        let mut ties = 0u64;
+        if self.ties != Some(0) {
+            self.ring.copy_to(scratch);
+            let sorted = scratch;
+            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+            let mut run = 1usize;
+            for i in 1..=n {
+                if i < n && sorted[i] == sorted[i - 1] {
+                    run += 1;
+                } else {
+                    if run > 1 {
+                        let t = run as f64;
+                        tie_term += t * (t - 1.0) * (2.0 * t + 5.0);
+                        ties += (run * (run - 1) / 2) as u64;
+                    }
+                    run = 1;
                 }
-                run = 1;
             }
         }
         let nf = n as f64;
@@ -572,13 +756,14 @@ impl StreamingMannKendall {
             0.0
         };
         let pairs = (n * (n - 1) / 2) as f64;
-        Ok(MannKendall {
+        let mk = MannKendall {
             s,
             var_s,
             z,
             p_value: 2.0 * normal_sf(z.abs()),
             tau: s as f64 / pairs,
-        })
+        };
+        Ok((mk, ties))
     }
 
     /// Sen's slope of the current window (O(window²), computed on demand —
@@ -608,15 +793,35 @@ impl StreamingMannKendall {
         SenSlope::estimate_with(window, dt, slopes)
     }
 
+    /// Sen's line of the current window via [`SenSlope::line_with`] — the
+    /// refit form for callers that extrapolate and need no confidence
+    /// interval. Slope and intercept are bit-identical to
+    /// [`StreamingMannKendall::sen_slope_with`]'s.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`StreamingMannKendall::sen_slope`].
+    pub fn sen_line_with(
+        &self,
+        dt: f64,
+        window: &mut Vec<f64>,
+        slopes: &mut Vec<f64>,
+    ) -> Result<SenLine> {
+        self.ring.copy_to(window);
+        SenSlope::line_with(window, dt, slopes)
+    }
+
     /// Clears the window (e.g. after a reboot); the configured width is
     /// retained.
     pub fn reset(&mut self) {
         self.ring.clear();
         self.s = 0;
+        self.ties = Some(0);
     }
 }
 
-/// Sum of `sign(x - base)` over `xs`, counted with direct comparisons.
+/// Sum of `sign(x - base)` over `xs`, and the number of `xs` equal to
+/// `base`, counted with direct comparisons.
 ///
 /// For finite operands this matches the subtract-then-test form exactly:
 /// IEEE-754 subtraction with gradual underflow yields zero only on exact
@@ -624,14 +829,14 @@ impl StreamingMannKendall {
 /// branch-free body autovectorizes, which is what makes the streaming
 /// Mann–Kendall scans slice-speed.
 #[inline]
-fn sign_count(base: f64, xs: &[f64]) -> i64 {
+fn sign_count(base: f64, xs: &[f64]) -> (i64, i64) {
     let mut pos: i64 = 0;
     let mut neg: i64 = 0;
     for &x in xs {
         pos += i64::from(x > base);
         neg += i64::from(x < base);
     }
-    pos - neg
+    (pos - neg, xs.len() as i64 - pos - neg)
 }
 
 /// Survival function `P(Z > z)` of the standard normal distribution, via an
@@ -861,9 +1066,14 @@ mod tests {
     /// the pre-selection implementation, kept as the parity oracle.
     fn sen_reference(data: &[f64], dt: f64) -> SenSlope {
         let n = data.len();
+        let stride = if n > crate::regression::THEIL_SEN_EXACT_LIMIT {
+            n / crate::regression::THEIL_SEN_EXACT_LIMIT + 1
+        } else {
+            1
+        };
         let mut slopes = Vec::new();
-        for i in 0..n {
-            for j in (i + 1)..n {
+        for i in (0..n).step_by(stride) {
+            for j in (i + stride..n).step_by(stride) {
                 slopes.push((data[j] - data[i]) / ((j - i) as f64 * dt));
             }
         }
@@ -889,27 +1099,119 @@ mod tests {
         }
     }
 
+    /// Asserts that both Sen fits reproduce the sort-based oracle: bit for
+    /// bit, or by `==` when the data holds `-0.0` — which of two equal
+    /// `±0.0` order statistics a selection returns was never fixed.
+    fn assert_sen_matches_oracle(data: &[f64], dt: f64, label: &str) {
+        let want = sen_reference(data, dt);
+        let got = SenSlope::estimate(data, dt).unwrap();
+        let line = SenSlope::line_with(data, dt, &mut Vec::new()).unwrap();
+        let signed_zero = data.iter().any(|v| v.to_bits() == (-0.0f64).to_bits());
+        for (name, g, w) in [
+            ("slope", got.slope, want.slope),
+            ("intercept", got.intercept, want.intercept),
+            ("lower_95", got.lower_95, want.lower_95),
+            ("upper_95", got.upper_95, want.upper_95),
+            ("line slope", line.slope, want.slope),
+            ("line intercept", line.intercept, want.intercept),
+        ] {
+            if signed_zero {
+                assert!(g == w, "{label}: {name} {g} != {w}");
+            } else {
+                assert_eq!(g.to_bits(), w.to_bits(), "{label}: {name} {g} vs {w}");
+            }
+        }
+    }
+
     #[test]
     fn sen_selection_matches_full_sort_bitwise() {
-        // Sizes straddle odd/even pair counts and include heavy ties.
-        for n in [2usize, 3, 5, 8, 17, 40, 120] {
+        // Sizes straddle odd/even pair counts, the bracket threshold
+        // (65 samples → 2080 pairs, 121 → 7260) and the strided subsample
+        // beyond THEIL_SEN_EXACT_LIMIT (1501 and 2000 samples).
+        for n in [2usize, 3, 5, 8, 17, 40, 65, 120, 121, 240, 1501, 2000] {
             let data: Vec<f64> = (0..n as u64)
                 .map(|i| ((i.wrapping_mul(48271) % 23) as f64) * 0.5 - (i as f64) * 0.01)
                 .collect();
-            let got = SenSlope::estimate(&data, 5.0).unwrap();
-            let want = sen_reference(&data, 5.0);
-            assert_eq!(got.slope.to_bits(), want.slope.to_bits(), "n={n}");
-            assert_eq!(got.intercept.to_bits(), want.intercept.to_bits(), "n={n}");
-            assert_eq!(got.lower_95.to_bits(), want.lower_95.to_bits(), "n={n}");
-            assert_eq!(got.upper_95.to_bits(), want.upper_95.to_bits(), "n={n}");
+            assert_sen_matches_oracle(&data, 5.0, &format!("wiggle n={n}"));
         }
-        // Constant data: every slope is zero (maximal ties).
-        let flat = vec![7.25; 30];
-        let got = SenSlope::estimate(&flat, 1.0).unwrap();
-        let want = sen_reference(&flat, 1.0);
-        assert_eq!(got.slope.to_bits(), want.slope.to_bits());
-        assert_eq!(got.lower_95.to_bits(), want.lower_95.to_bits());
-        assert_eq!(got.upper_95.to_bits(), want.upper_95.to_bits());
+        for n in [30usize, 121, 240] {
+            // Constant data: every slope is zero (maximal ties).
+            assert_sen_matches_oracle(&vec![7.25; n], 1.0, &format!("flat n={n}"));
+            // A five-value alphabet: heavy ties in the data and the slopes.
+            let alphabet: Vec<f64> = (0..n).map(|i| ((i * 7919) % 5) as f64).collect();
+            assert_sen_matches_oracle(&alphabet, 2.0, &format!("alphabet n={n}"));
+            // Signed zeros among the ties.
+            let zeros: Vec<f64> = (0..n)
+                .map(|i| match i % 4 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => (i / 4) as f64,
+                    _ => -((i / 8) as f64),
+                })
+                .collect();
+            assert_sen_matches_oracle(&zeros, 1.0, &format!("signed zeros n={n}"));
+        }
+        // A 27-sample sawtooth over 200 samples is in step with the pilot's
+        // stride through the row-major slopes: the pilot misjudges where
+        // the median lies, the bracket misses the median ranks, and the
+        // line fit takes the regenerate-and-select fallback.
+        let data: Vec<f64> = (0..200).map(|i| (i % 27) as f64).collect();
+        let mut slopes = Vec::new();
+        pairwise_slopes(&data, 5.0, 1, &mut slopes);
+        let m = slopes.len();
+        assert!(m >= BRACKET_MIN_PAIRS);
+        assert_eq!(
+            bracket(&mut slopes, (m - 1) / 2, m / 2),
+            None,
+            "the sawtooth no longer makes the pilot miss; pick a new input"
+        );
+        assert_sen_matches_oracle(&data, 5.0, "sawtooth");
+    }
+
+    #[test]
+    fn bracket_accepts_exactly_the_ranks_it_holds() {
+        // 4096 values; the pilot reads every 16th. Pilot value p sits at
+        // pilot rank p, so the median ranks 2047/2048 put the bracket at
+        // [107, 148] (42 pilot values). `below_extra` other values go below
+        // it, the rest above, which moves the kept run's population ranks
+        // one at a time across both wanted ranks.
+        let m = 4096;
+        let (first, last) = ((m - 1) / 2, m / 2);
+        let build = |below_extra: usize| -> Vec<f64> {
+            let mut others = 0usize;
+            (0..m)
+                .map(|q| {
+                    if q % (m / PILOT) == 0 {
+                        (q / (m / PILOT)) as f64
+                    } else {
+                        others += 1;
+                        if others <= below_extra {
+                            -(others as f64)
+                        } else {
+                            1000.0 + others as f64
+                        }
+                    }
+                })
+                .collect()
+        };
+        // 107 pilot values lie below the bracket and 42 inside it.
+        for (below_extra, holds) in [(1899, false), (1900, true), (1940, true), (1941, false)] {
+            let mut values = build(below_extra);
+            let mut sorted = values.clone();
+            sorted.sort_by(f64::total_cmp);
+            let got = bracket(&mut values, first, last);
+            assert_eq!(got.is_some(), holds, "below_extra={below_extra}");
+            if let Some(below) = got {
+                assert_eq!(below, 107 + below_extra);
+                let mut out = [0.0; 2];
+                select_ranks(&mut values, &[first, last], below, &mut out);
+                assert_eq!(
+                    out,
+                    [sorted[first], sorted[last]],
+                    "below_extra={below_extra}"
+                );
+            }
+        }
     }
 
     #[test]

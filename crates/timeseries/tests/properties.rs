@@ -2,9 +2,10 @@
 
 use aging_timeseries::{
     detrend, interp,
+    persist::Reader,
     regression::{self, ols, theil_sen},
     stats,
-    trend::{MannKendall, SenSlope},
+    trend::{MannKendall, SenSlope, StreamingMannKendall},
     window::{dyadic_scales, SlidingWindows},
     TimeSeries,
 };
@@ -225,5 +226,65 @@ proptest! {
         let expect = &data[..data.len().saturating_sub(cap)];
         prop_assert_eq!(evicted, expect.to_vec());
         prop_assert_eq!(ring.len(), data.len().min(cap));
+    }
+}
+
+/// Five values, signed zeros among them: a stream over this alphabet is
+/// mostly ties.
+const TIE_ALPHABET: [f64; 5] = [-1.5, 0.0, -0.0, 0.25, 2.0];
+
+/// Asserts the streaming statistic equals the batch test on the kernel's
+/// window: `s` exactly, `var_s`, `z` and `p_value` bit for bit.
+fn assert_mk_matches_batch(mk: &MannKendall, window: &[f64]) {
+    let batch = MannKendall::test(window).unwrap();
+    prop_assert_eq!(mk.s, batch.s);
+    prop_assert_eq!(mk.var_s.to_bits(), batch.var_s.to_bits());
+    prop_assert_eq!(mk.z.to_bits(), batch.z.to_bits());
+    prop_assert_eq!(mk.p_value.to_bits(), batch.p_value.to_bits());
+}
+
+proptest! {
+    #[test]
+    fn streaming_mk_tie_bookkeeping_matches_batch(
+        window in 4usize..24,
+        ops in prop::collection::vec(0usize..16, 1..=160),
+    ) {
+        // Ops: 0..=9 push one value, 10..=11 push a run, 12 reset,
+        // 13..=14 snapshot and restore into a fresh kernel (the tie count
+        // becomes unknown), 15 take the statistic on the kernel itself (the
+        // count is learned or checked). After every op a clone takes the
+        // statistic, so the unknown-count path is seen from every state.
+        let mut mk = StreamingMannKendall::new(window).unwrap();
+        let mut scratch = Vec::new();
+        for (t, &op) in ops.iter().enumerate() {
+            let value = TIE_ALPHABET[(op + t) % TIE_ALPHABET.len()];
+            match op {
+                0..=9 => mk.push(value).unwrap(),
+                10..=11 => {
+                    let run: Vec<f64> = (0..op - 6).map(|k| TIE_ALPHABET[(t + k * op) % 5]).collect();
+                    mk.push_slice(&run).unwrap();
+                }
+                12 => mk.reset(),
+                13..=14 => {
+                    let mut blob = Vec::new();
+                    mk.encode_state(&mut blob);
+                    let mut restored = StreamingMannKendall::new(window).unwrap();
+                    restored.restore_state(&mut Reader::new(&blob)).unwrap();
+                    mk = restored;
+                }
+                _ => {
+                    if mk.len() >= 4 {
+                        let stat = mk.statistic_with(&mut scratch).unwrap();
+                        assert_mk_matches_batch(&stat, &mk.window());
+                    }
+                }
+            }
+            if mk.len() >= 4 {
+                let window = mk.window();
+                assert_mk_matches_batch(&mk.statistic().unwrap(), &window);
+                let stat = mk.clone().statistic_with(&mut scratch).unwrap();
+                assert_mk_matches_batch(&stat, &window);
+            }
+        }
     }
 }
